@@ -28,13 +28,14 @@
 #include <chrono>
 #include <cstdio>
 #include <future>
-#include <sstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "edge/common/check.h"
 #include "edge/common/stopwatch.h"
+#include "edge/core/model_store.h"
 #include "edge/obs/trace.h"
 #include "edge/data/generator.h"
 #include "edge/data/pipeline.h"
@@ -63,6 +64,15 @@ double PercentileMs(std::vector<double>* latencies, double q) {
   return (*latencies)[index];
 }
 
+/// A fresh servable model over the benchmark's fp64 store bytes.
+std::unique_ptr<core::EdgeModel> LoadModel(const std::string& checkpoint) {
+  auto store = core::MmapModelStore::FromBytes(checkpoint, core::StoreVerify::kFull);
+  EDGE_CHECK(store.ok()) << store.status().ToString();
+  auto model = core::EdgeModel::LoadFromStore(std::move(store).value());
+  EDGE_CHECK(model.ok()) << model.status().ToString();
+  return std::move(model).value();
+}
+
 /// `clients` closed-loop clients, `requests_per_client` requests each.
 LoadResult RunLoad(const std::string& checkpoint, const text::Gazetteer& gazetteer,
                    const std::vector<std::string>& texts, size_t max_batch,
@@ -74,8 +84,7 @@ LoadResult RunLoad(const std::string& checkpoint, const text::Gazetteer& gazette
   options.num_workers = workers;
   options.cache_capacity = cache ? 4096 : 0;
   options.telemetry = telemetry;
-  std::stringstream stream(checkpoint);
-  auto service = serve::GeoService::Create(&stream, gazetteer, options);
+  auto service = serve::GeoService::Create(LoadModel(checkpoint), gazetteer, options);
   EDGE_CHECK(service.ok()) << service.status().ToString();
 
   std::vector<std::vector<double>> latencies(clients);
@@ -141,8 +150,7 @@ OpenLoopResult RunOpenLoop(const std::string& checkpoint,
   options.cache_capacity = 0;
   options.queue_capacity = 256;  // Small enough that overload actually sheds.
   options.default_deadline_ms = deadline_ms;
-  std::stringstream stream(checkpoint);
-  auto service = serve::GeoService::Create(&stream, gazetteer, options);
+  auto service = serve::GeoService::Create(LoadModel(checkpoint), gazetteer, options);
   EDGE_CHECK(service.ok()) << service.status().ToString();
 
   std::vector<std::future<serve::ServeResponse>> futures;
@@ -209,10 +217,9 @@ int main() {
   core::EdgeModel model(config);
   std::fprintf(stderr, "training the benchmark world...\n");
   model.Fit(processed);
-  std::stringstream checkpoint_stream;
-  Status status = model.SaveInference(&checkpoint_stream);
+  std::string checkpoint;
+  Status status = core::SerializeModelStore(model, core::EmbedPrecision::kFp64, &checkpoint);
   EDGE_CHECK(status.ok()) << status.ToString();
-  std::string checkpoint = checkpoint_stream.str();
 
   std::vector<std::string> texts;
   for (const data::Tweet& tweet : dataset.tweets) texts.push_back(tweet.text);

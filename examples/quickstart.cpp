@@ -11,9 +11,10 @@
 /// Build & run:  cmake --build build && ./build/examples/quickstart
 
 #include <cstdio>
-#include <sstream>
+#include <filesystem>
 
 #include "edge/core/edge_model.h"
+#include "edge/core/model_store.h"
 #include "edge/data/generator.h"
 #include "edge/data/pipeline.h"
 #include "edge/data/worlds.h"
@@ -72,12 +73,14 @@ int main() {
                 g.sigma_y());
   }
 
-  // 5. Serialize for inference elsewhere.
-  std::stringstream blob;
-  Status status = model.SaveInference(&blob);
+  // 5. Save as an edge-model.v1 store for inference elsewhere, and reload.
+  std::string path =
+      (std::filesystem::temp_directory_path() / "edge_quickstart.edge").string();
+  Status status = core::SaveModelStoreAtomic(model, core::EmbedPrecision::kFp64, path);
   EDGE_CHECK(status.ok()) << status.ToString();
-  auto restored = core::EdgeModel::LoadInference(&blob);
+  auto restored = core::LoadModelStore(path);
   EDGE_CHECK(restored.ok()) << restored.status().ToString();
+  std::filesystem::remove(path);
   core::EdgePrediction again = restored.value()->Predict(tweet);
   std::printf("\nreloaded model agrees: (%.4f, %.4f)\n", again.point.lat,
               again.point.lon);

@@ -71,6 +71,22 @@ Status WriteFileAtomic(const std::string& path, const std::string& content,
   return Status::Ok();
 }
 
+Status WriteFileVerified(const std::string& path, const std::string& content,
+                         const char* write_point, const char* verify_point) {
+  // Byte equality on the readback is strictly stronger than re-parsing.
+  return RetryWithBackoff(/*attempts=*/4, /*base_backoff_ms=*/1.0, [&]() {
+    Status status = WriteFileAtomic(path, content, write_point);
+    if (!status.ok()) return status;
+    std::string readback;
+    status = ReadFileToString(path, &readback, verify_point);
+    if (!status.ok()) return status;
+    if (readback != content) {
+      return Status::Internal("write verification mismatch (torn write) at " + path);
+    }
+    return Status::Ok();
+  });
+}
+
 Status RetryWithBackoff(int attempts, double base_backoff_ms,
                         const std::function<Status()>& fn) {
   EDGE_CHECK_GE(attempts, 1);

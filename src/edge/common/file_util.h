@@ -30,10 +30,18 @@ Status ReadFileToString(const std::string& path, std::string* out,
 /// a prefix AND STILL RETURNS OK — it simulates a torn write that the
 /// syscall layer reported as successful (power loss between write-back and
 /// rename), which is exactly the failure a verify-after-write or a
-/// checksummed loader must catch. Callers that must be crash-safe read the
-/// file back and validate (see core/train_checkpoint.h).
+/// checksummed loader must catch. Callers that must be crash-safe use
+/// WriteFileVerified.
 Status WriteFileAtomic(const std::string& path, const std::string& content,
                        const char* fault_point = "io.file.write");
+
+/// The crash-safe write: WriteFileAtomic (fault point `write_point`), then
+/// read the file back (fault point `verify_point`) and byte-compare, retried
+/// with backoff up to 4 times. A torn write reported as durable therefore
+/// comes back as a retry and, if it persists, an error — never as Ok with a
+/// truncated file at `path`.
+Status WriteFileVerified(const std::string& path, const std::string& content,
+                         const char* write_point, const char* verify_point);
 
 /// Runs `fn` up to `attempts` times, sleeping base_backoff_ms * 2^k between
 /// tries; returns the first Ok or the last error. attempts must be >= 1.

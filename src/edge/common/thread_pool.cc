@@ -33,17 +33,31 @@ obs::Gauge* QueueDepthGauge() {
   return gauge;
 }
 
-/// Runs one task with busy-time/throughput accounting. The `pool.task`
-/// latency fault point perturbs task start times so chaos runs exercise
-/// scheduling orders a quiet machine never produces; bitwise-parity tests
-/// must still pass under it (the determinism contract is order-independent).
-void RunAccounted(std::packaged_task<void()>* task) {
+/// Busy-time/throughput accounting for one task, recorded when the guard
+/// dies. It lives inside the packaged task's callable, so it is destroyed
+/// before the task sets its future — also when the task throws — and a
+/// caller that waited on the future always sees the task counted.
+class TaskAccounting {
+ public:
+  TaskAccounting() = default;
+  TaskAccounting(const TaskAccounting&) = delete;
+  TaskAccounting& operator=(const TaskAccounting&) = delete;
+  ~TaskAccounting() {
+    BusyMicrosCounter()->Increment(static_cast<int64_t>(watch_.ElapsedSeconds() * 1e6));
+    TasksExecutedCounter()->Increment();
+  }
+
+ private:
+  Stopwatch watch_;
+};
+
+/// Runs one task. The `pool.task` latency fault point perturbs task start
+/// times so chaos runs exercise scheduling orders a quiet machine never
+/// produces; bitwise-parity tests must still pass under it (the determinism
+/// contract is order-independent).
+void RunTask(std::packaged_task<void()>* task) {
   fault::Probe("pool.task");
-  Stopwatch watch;
   (*task)();  // packaged_task routes exceptions into the task's future.
-  BusyMicrosCounter()->Increment(
-      static_cast<int64_t>(watch.ElapsedSeconds() * 1e6));
-  TasksExecutedCounter()->Increment();
 }
 
 }  // namespace
@@ -65,10 +79,13 @@ ThreadPool::~ThreadPool() {
 }
 
 std::future<void> ThreadPool::Submit(std::function<void()> fn) {
-  std::packaged_task<void()> task(std::move(fn));
+  std::packaged_task<void()> task([fn = std::move(fn)] {
+    TaskAccounting accounting;
+    fn();
+  });
   std::future<void> future = task.get_future();
   if (workers_.empty()) {
-    RunAccounted(&task);  // Degenerate pool: run inline so futures still complete.
+    RunTask(&task);  // Degenerate pool: run inline so futures still complete.
     return future;
   }
   {
@@ -92,7 +109,7 @@ void ThreadPool::WorkerLoop() {
       queue_.pop_front();
       QueueDepthGauge()->Set(static_cast<double>(queue_.size()));
     }
-    RunAccounted(&task);
+    RunTask(&task);
   }
 }
 

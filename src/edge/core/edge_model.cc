@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
 #include <limits>
 #include <numeric>
-#include <ostream>
 
 #include "edge/common/file_util.h"
 #include "edge/common/math_util.h"
@@ -548,7 +546,7 @@ EdgePrediction EdgeModel::PredictFromIds(const std::vector<size_t>& ids,
   // read in place (for a mapped store that is the zero-copy path — the
   // pointers alias the file mapping); quantized stores decode into one
   // packed scratch buffer. The arithmetic below is unchanged from the dense
-  // path, so a fp64 store is bitwise-identical to the text checkpoint.
+  // path, so a fp64 store is bitwise-identical to the fitted model.
   std::vector<const double*> rows(k_count);
   std::vector<double> scratch;
   if (store_ != nullptr && !store_->zero_copy()) {
@@ -687,170 +685,11 @@ void EdgeModel::PredictPoints(const std::vector<data::ProcessedTweet>& tweets,
   });
 }
 
-Status EdgeModel::SaveInference(std::ostream* out) const {
-  EDGE_CHECK(out != nullptr);
-  if (!fitted_) return Status::FailedPrecondition("model not fitted");
-  std::ostream& os = *out;
-  os.precision(17);
-  os << "EDGE-INFERENCE v1\n";
-  os << config_.display_name << "\n";
-  os << config_.num_components << " " << config_.sigma_min_km << " " << config_.rho_max
-     << " " << (config_.use_attention ? 1 : 0) << "\n";
-  os << projection_->origin().lat << " " << projection_->origin().lon << "\n";
-  os << num_entities() << " " << hidden_dim() << "\n";
-  for (size_t n = 0; n < num_entities(); ++n) os << NodeNameOf(n) << "\n";
-  auto write_matrix = [&os](const nn::Matrix& m) {
-    os << m.rows() << " " << m.cols() << "\n";
-    for (size_t r = 0; r < m.rows(); ++r) {
-      for (size_t c = 0; c < m.cols(); ++c) {
-        os << m.At(r, c) << (c + 1 == m.cols() ? '\n' : ' ');
-      }
-    }
-  };
-  // Embeddings go through the row-gather path so store-backed models (fp64
-  // bitwise, quantized at their decoded values) convert back to canonical
-  // text without materializing a dense matrix copy.
-  {
-    os << num_entities() << " " << hidden_dim() << "\n";
-    std::vector<double> scratch;
-    for (size_t r = 0; r < num_entities(); ++r) {
-      nn::ConstRowSpan row = EmbeddingRowOf(r, &scratch);
-      for (size_t c = 0; c < row.cols; ++c) {
-        os << row[c] << (c + 1 == row.cols ? '\n' : ' ');
-      }
-    }
-  }
-  write_matrix(attention_q_);
-  os << attention_b_ << "\n";
-  write_matrix(head_w_);
-  write_matrix(head_b_);
-  os << fallback_mean_.x << " " << fallback_mean_.y << " " << fallback_sigma_km_ << "\n";
-  os << coord_scale_km_ << "\n";
-  if (!os.good()) return Status::Internal("stream write failed");
-  return Status::Ok();
-}
-
-Result<std::unique_ptr<EdgeModel>> EdgeModel::LoadInference(std::istream* in) {
-  // A serving process restarts on a bad checkpoint, so every malformation —
-  // truncation, wrong magic, dimension mismatch, absurd sizes, non-finite
-  // parameters — must come back as a Status, never an EDGE_CHECK abort or a
-  // garbage-initialized matrix. Each read below is therefore checked before
-  // its value is used (in particular before any allocation is sized by it).
-  EDGE_CHECK(in != nullptr);
-  std::istream& is = *in;
-  std::string magic, version;
-  is >> magic >> version;
-  if (is.fail() || magic != "EDGE-INFERENCE" || version != "v1") {
-    return Status::InvalidArgument("bad header: " + magic + " " + version);
-  }
-  EdgeConfig config;
-  int use_attention = 1;
-  is >> config.display_name;
-  is >> config.num_components >> config.sigma_min_km >> config.rho_max >> use_attention;
-  if (is.fail()) return Status::InvalidArgument("truncated config header");
-  config.use_attention = use_attention != 0;
-  // A corrupt config must not reach the EdgeModel constructor: its Validate()
-  // failure is an EDGE_CHECK abort there. Bound num_components explicitly —
-  // a negative token wraps to a huge size_t that Validate() would accept.
-  constexpr size_t kMaxComponents = 1024;
-  if (config.num_components == 0 || config.num_components > kMaxComponents) {
-    return Status::InvalidArgument("implausible mixture component count");
-  }
-  Status config_status = config.Validate();
-  if (!config_status.ok()) {
-    return Status::InvalidArgument("corrupt checkpoint config: " +
-                                   config_status.ToString());
-  }
-  double lat = 0.0, lon = 0.0;
-  is >> lat >> lon;
-  size_t num_nodes = 0, hidden = 0;
-  is >> num_nodes >> hidden;
-  if (is.fail()) return Status::InvalidArgument("truncated header");
-  if (!(lat >= -90.0 && lat <= 90.0) || !(lon >= -360.0 && lon <= 360.0)) {
-    return Status::InvalidArgument("projection origin out of range");
-  }
-  // Reject absurd dimensions before they size an allocation (a corrupt
-  // header must not OOM the loader).
-  constexpr size_t kMaxDim = size_t{1} << 26;
-  if (num_nodes == 0 || hidden == 0 || num_nodes > kMaxDim || hidden > kMaxDim) {
-    return Status::InvalidArgument("implausible graph dimensions");
-  }
-
-  auto model = std::make_unique<EdgeModel>(config);
-  model->fitted_ = true;
-  model->projection_ = std::make_unique<geo::LocalProjection>(geo::LatLon{lat, lon});
-
-  std::vector<std::vector<std::string>> singleton_sets;
-  singleton_sets.reserve(num_nodes);
-  for (size_t n = 0; n < num_nodes; ++n) {
-    std::string name;
-    is >> name;
-    if (is.fail() || name.empty()) {
-      return Status::InvalidArgument("truncated node-name table");
-    }
-    singleton_sets.push_back({std::move(name)});
-  }
-  model->graph_ = graph::EntityGraph::Build(singleton_sets);
-  if (model->graph_.num_nodes() != num_nodes) {
-    return Status::InvalidArgument("duplicate node names in stream");
-  }
-
-  auto read_matrix = [&is](nn::Matrix* m, size_t want_rows, size_t want_cols,
-                           const char* what) -> Status {
-    size_t rows = 0, cols = 0;
-    is >> rows >> cols;
-    if (is.fail()) return Status::InvalidArgument(std::string("truncated ") + what);
-    if (rows != want_rows || cols != want_cols) {
-      return Status::InvalidArgument(std::string(what) + " dimension mismatch");
-    }
-    *m = nn::Matrix(rows, cols);
-    for (size_t r = 0; r < rows; ++r) {
-      for (size_t c = 0; c < cols; ++c) {
-        double v = 0.0;
-        is >> v;
-        if (is.fail()) {
-          return Status::InvalidArgument(std::string("truncated ") + what);
-        }
-        if (!std::isfinite(v)) {
-          return Status::InvalidArgument(std::string("non-finite value in ") + what);
-        }
-        m->At(r, c) = v;
-      }
-    }
-    return Status::Ok();
-  };
-  size_t theta_dim = 6 * config.num_components;
-  Status status = read_matrix(&model->smoothed_embeddings_, num_nodes, hidden,
-                              "smoothed embeddings");
-  if (status.ok()) status = read_matrix(&model->attention_q_, hidden, 1, "attention q");
-  if (!status.ok()) return status;
-  is >> model->attention_b_;
-  if (is.fail()) return Status::InvalidArgument("truncated attention bias");
-  status = read_matrix(&model->head_w_, hidden, theta_dim, "head weights");
-  if (status.ok()) status = read_matrix(&model->head_b_, 1, theta_dim, "head bias");
-  if (!status.ok()) return status;
-  is >> model->fallback_mean_.x >> model->fallback_mean_.y >> model->fallback_sigma_km_;
-  is >> model->coord_scale_km_;
-  if (is.fail()) return Status::InvalidArgument("truncated body");
-  if (!std::isfinite(model->attention_b_) || !std::isfinite(model->fallback_mean_.x) ||
-      !std::isfinite(model->fallback_mean_.y)) {
-    return Status::InvalidArgument("non-finite scalar parameters");
-  }
-  if (!(model->fallback_sigma_km_ > 0.0) ||
-      !std::isfinite(model->fallback_sigma_km_)) {
-    return Status::InvalidArgument("non-positive fallback sigma");
-  }
-  if (!(model->coord_scale_km_ > 0.0) || !std::isfinite(model->coord_scale_km_)) {
-    return Status::InvalidArgument("non-positive coordinate scale");
-  }
-  return model;
-}
-
 Result<std::unique_ptr<EdgeModel>> EdgeModel::LoadFromStore(
     std::shared_ptr<const MmapModelStore> store) {
   EDGE_CHECK(store != nullptr);
-  // The store already ran the untrusted-input gates (MmapModelStore::Validate
-  // enforces the LoadInference contract), so everything here is O(1) in
+  // The store already ran the untrusted-input gates (MmapModelStore::Validate),
+  // so everything here is O(1) in
   // entity count: copy the config and the O(hidden) matrices, keep the
   // mapping for the O(entities) state. No graph rebuild, no embedding parse.
   EdgeConfig config;

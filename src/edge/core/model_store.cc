@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <numeric>
 #include <sstream>
@@ -24,14 +23,15 @@ namespace edge::core {
 
 namespace {
 
+/// First bytes of every edge-model.v1 file.
+constexpr char kModelStoreMagic[8] = {'E', 'D', 'G', 'E', 'M', 'D', 'L', '1'};
 constexpr uint32_t kFormatVersion = 1;
 constexpr uint32_t kEndianProbe = 0x01020304;
 constexpr size_t kHeaderSize = 128;
 constexpr size_t kHeaderChecksumOffset = 120;
 constexpr size_t kAlign = 64;
 constexpr size_t kManifestEntrySize = 32;
-// Same allocation gate as EdgeModel::LoadInference: dimensions above this are
-// a corrupt header, not a model.
+// Allocation gate: dimensions above this are a corrupt header, not a model.
 constexpr uint64_t kMaxDim = uint64_t{1} << 26;
 constexpr uint32_t kMaxSections = 64;
 // The config section is a handful of text lines; anything bigger is corrupt.
@@ -206,15 +206,6 @@ double Fp16ToDouble(uint16_t h) {
   return static_cast<double>(f);
 }
 
-bool LooksLikeModelStore(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  char magic[8];
-  size_t n = std::fread(magic, 1, sizeof(magic), f);
-  std::fclose(f);
-  return n == sizeof(magic) && std::memcmp(magic, kModelStoreMagic, 8) == 0;
-}
-
 MmapModelStore::~MmapModelStore() {
   if (mapped_ != nullptr) ::munmap(mapped_, size_);
 }
@@ -225,8 +216,8 @@ std::string MmapModelStore::build_id() const {
 
 Result<std::shared_ptr<const MmapModelStore>> MmapModelStore::Open(
     const std::string& path, StoreVerify verify) {
-  // Same fault point the text reload path probes, so the chaos suite's
-  // transient-read drills cover both formats.
+  // The fault point every checkpoint read probes, so the chaos suite's
+  // transient-read drills cover store opens.
   if (EDGE_FAULT_POINT("io.checkpoint.read") == fault::Action::kError) {
     return Status::Internal("injected fault: io.checkpoint.read " + path);
   }
@@ -269,10 +260,9 @@ Result<std::shared_ptr<const MmapModelStore>> MmapModelStore::FromBytes(
 
 Result<std::shared_ptr<const MmapModelStore>> MmapModelStore::Validate(
     std::shared_ptr<MmapModelStore> store, StoreVerify verify) {
-  // Untrusted-input discipline (same contract as EdgeModel::LoadInference):
-  // every gate below returns a Status — never an abort, never an OOB read —
-  // and every offset/size is bounds-checked before it is dereferenced or
-  // sizes an allocation. Gates run outside-in: header, then manifest, then
+  // Untrusted-input discipline: every gate below returns a Status — never an
+  // abort, never an OOB read — and every offset/size is bounds-checked before
+  // it is dereferenced or sizes an allocation. Gates run outside-in: header, then manifest, then
   // per-section structure, then (kFull only) content checksums and scans.
   const char* data = store->data_;
   const size_t size = store->size_;
@@ -395,7 +385,7 @@ Result<std::shared_ptr<const MmapModelStore>> MmapModelStore::Validate(
     }
   }
 
-  // --- Config section: same gates as the text loader. ---
+  // --- Config section. ---
   if (config_s->size == 0 || config_s->size > kMaxConfigBytes) {
     return Corrupt("implausible config section size");
   }
@@ -686,7 +676,7 @@ Status SerializeModelStore(const EdgeModel& model, EmbedPrecision precision,
   std::string config_blob;
   {
     // precision(17) round-trips doubles exactly, so config scalars survive
-    // text -> binary -> text bitwise (matching SaveInference's formatting).
+    // a load -> save cycle bitwise.
     std::ostringstream os;
     os.precision(17);
     const EdgeConfig& config = model.config_;
@@ -796,7 +786,7 @@ Status SerializeModelStore(const EdgeModel& model, EmbedPrecision precision,
     const std::string* payload;
   };
   // LoadFromStore copies the small matrices into the model, so these are
-  // valid for trained, text-loaded and store-backed models alike.
+  // valid for trained and store-backed models alike.
   std::string attn_blob = matrix_blob(model.attention_q_);
   std::string head_w_blob = matrix_blob(model.head_w_);
   std::string head_b_blob = matrix_blob(model.head_b_);
@@ -862,22 +852,14 @@ Status SaveModelStoreAtomic(const EdgeModel& model, EmbedPrecision precision,
   std::string bytes;
   Status status = SerializeModelStore(model, precision, &bytes);
   if (!status.ok()) return status;
-  return WriteFileAtomic(path, bytes, "io.checkpoint.write");
+  return WriteFileVerified(path, bytes, "io.checkpoint.write", "io.checkpoint.verify");
 }
 
-Result<std::unique_ptr<EdgeModel>> LoadInferenceAuto(const std::string& path,
-                                                     StoreVerify verify) {
-  if (LooksLikeModelStore(path)) {
-    Result<std::shared_ptr<const MmapModelStore>> store =
-        MmapModelStore::Open(path, verify);
-    if (!store.ok()) return store.status();
-    return EdgeModel::LoadFromStore(std::move(store).value());
-  }
-  std::string bytes;
-  Status status = ReadFileToString(path, &bytes, "io.checkpoint.read");
-  if (!status.ok()) return status;
-  std::istringstream in(bytes);
-  return EdgeModel::LoadInference(&in);
+Result<std::unique_ptr<EdgeModel>> LoadModelStore(const std::string& path,
+                                                  StoreVerify verify) {
+  Result<std::shared_ptr<const MmapModelStore>> store = MmapModelStore::Open(path, verify);
+  if (!store.ok()) return store.status();
+  return EdgeModel::LoadFromStore(std::move(store).value());
 }
 
 }  // namespace edge::core

@@ -11,19 +11,15 @@
 #include "edge/nn/matrix.h"
 
 /// \file
-/// `edge-model.v1` — the zero-copy binary inference-checkpoint format and the
+/// `edge-model.v1` — the one inference-checkpoint format, and the
 /// mmap-backed store that serves it (DESIGN.md §15).
 ///
-/// The text EDGE-INFERENCE checkpoint stays the canonical, portable
-/// interchange format, but loading it re-parses every float through
-/// from_chars: load latency and peak RSS scale linearly with entity count,
-/// which is exactly the bound on "millions of entities per city world" and
-/// the cost a serving replica pays on every hot reload. This format instead
-/// lays the model out so a loader can `mmap` the file read-only and serve
-/// embedding rows straight out of the page cache through nn::ConstRowSpan —
-/// hot reload becomes a map-and-swap whose cost is independent of entity
-/// count (StoreVerify::kFast), and cold load never materializes a second
-/// copy of the embedding matrix.
+/// `edge_cli train` writes it at fp64; `edge_cli convert` re-encodes it at a
+/// narrower embedding precision. The layout lets a loader `mmap` the file
+/// read-only and serve embedding rows straight out of the page cache through
+/// nn::ConstRowSpan — hot reload is a map-and-swap whose cost is independent
+/// of entity count (StoreVerify::kFast), and cold load never materializes a
+/// second copy of the embedding matrix.
 ///
 /// On-disk layout (all integers little-endian, fixed width):
 ///
@@ -55,12 +51,11 @@
 /// Sections:
 ///   kConfig     line-oriented text: display name, mixture shape, projection
 ///               origin, fallback prior, coordinate scale, attention bias —
-///               parsed under the same untrusted-input gates as
-///               EdgeModel::LoadInference.
+///               every value range-checked before it configures a model.
 ///   kVocab      u64 count, u64 blob_bytes, u64 offsets[count+1], name blob.
-///               Names are stored in node-id order, so ids agree bitwise
-///               with the text checkpoint's EntityGraph ids (the serve-layer
-///               cache keys on them).
+///               Names are stored in node-id order, so ids agree with the
+///               fitted model's EntityGraph ids (the serve-layer cache keys
+///               on them).
 ///   kVocabIndex u64 ids[count], node ids sorted by name bytes — NodeId() is
 ///               a binary search over the mapped blob with zero load-time
 ///               index construction.
@@ -75,7 +70,7 @@ namespace edge::core {
 class EdgeModel;
 
 /// Storage precision of the embedding section. fp64 is exact (store-backed
-/// predictions are bitwise identical to the text checkpoint) and zero-copy;
+/// predictions are bitwise identical to the fitted model's) and zero-copy;
 /// the narrower precisions trade accuracy for bytes and dequantize into a
 /// caller scratch buffer on gather. BENCH_model_store.json records the
 /// measured accuracy-vs-size trade on the bench worlds.
@@ -105,14 +100,6 @@ enum class StoreVerify {
   /// artifacts that were written by `convert` and verified kFull once.
   kFast,
 };
-
-/// First bytes of every edge-model.v1 file.
-inline constexpr char kModelStoreMagic[8] = {'E', 'D', 'G', 'E',
-                                             'M', 'D', 'L', '1'};
-
-/// True when `path` starts with the edge-model.v1 magic (the format sniff
-/// tools and the serve reload path use to route text vs binary checkpoints).
-bool LooksLikeModelStore(const std::string& path);
 
 /// A read-only, validated view of one edge-model.v1 file. The file is mapped
 /// with mmap(PROT_READ) where available (falling back to an owned buffer),
@@ -232,20 +219,19 @@ class MmapModelStore {
 };
 
 /// Serializes a fitted (or loaded) model's inference state into edge-model.v1
-/// bytes at the given embedding precision. fp64 output round-trips the text
-/// checkpoint bitwise (text -> binary -> text is byte-identical).
+/// bytes at the given embedding precision. At fp64 the round trip is exact:
+/// serializing LoadFromStore(bytes) again reproduces `bytes`.
 Status SerializeModelStore(const EdgeModel& model, EmbedPrecision precision,
                            std::string* out);
 
-/// SerializeModelStore + WriteFileAtomic (tmp + fsync + rename).
+/// SerializeModelStore + WriteFileVerified: tmp + fsync + rename, read back
+/// and byte-compared under retry, so a torn write never reports success.
 Status SaveModelStoreAtomic(const EdgeModel& model, EmbedPrecision precision,
                             const std::string& path);
 
-/// Loads an inference model from `path`, sniffing the format: edge-model.v1
-/// files take the mmap path (verified per `verify`), anything else is parsed
-/// as a text EDGE-INFERENCE checkpoint. The one loader tools and the serve
-/// reload path share.
-Result<std::unique_ptr<EdgeModel>> LoadInferenceAuto(
+/// MmapModelStore::Open(path, verify) + EdgeModel::LoadFromStore: the one
+/// loader tools share.
+Result<std::unique_ptr<EdgeModel>> LoadModelStore(
     const std::string& path, StoreVerify verify = StoreVerify::kFull);
 
 /// IEEE binary16 conversions (software; round-to-nearest-even on narrowing).

@@ -237,23 +237,8 @@ Result<TrainState> ParseTrainState(const std::string& content) {
 }
 
 Status SaveTrainStateAtomic(const std::string& path, const TrainState& state) {
-  const std::string serialized = SerializeTrainState(state);
-  // Write -> read back -> byte-compare, under retry: an injected short write
-  // returns Ok from WriteFileAtomic (a torn file the OS reported durable),
-  // so the verification pass is what actually guarantees the file on disk
-  // is loadable. Byte equality is strictly stronger than re-parsing.
-  return RetryWithBackoff(/*attempts=*/4, /*base_backoff_ms=*/1.0, [&]() {
-    Status status = WriteFileAtomic(path, serialized, "io.checkpoint.write");
-    if (!status.ok()) return status;
-    std::string readback;
-    status = ReadFileToString(path, &readback, "io.checkpoint.verify");
-    if (!status.ok()) return status;
-    if (readback != serialized) {
-      return Status::Internal("checkpoint verification mismatch (torn write) at " +
-                              path);
-    }
-    return Status::Ok();
-  });
+  return WriteFileVerified(path, SerializeTrainState(state), "io.checkpoint.write",
+                           "io.checkpoint.verify");
 }
 
 Result<TrainState> LoadTrainState(const std::string& path) {

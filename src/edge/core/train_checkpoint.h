@@ -18,7 +18,7 @@
 /// than stored.
 ///
 /// Format `EDGE-TRAINSTATE v1`: line-oriented text at precision 17 (IEEE
-/// doubles round-trip bitwise, like the EDGE-INFERENCE format), terminated
+/// doubles round-trip bitwise), terminated
 /// by an `END <fnv1a64-hex>` checksum line over every preceding byte. The
 /// checksum line makes torn writes detectable: every strict truncation
 /// prefix of a valid file — and any bit flip before END — is rejected by
@@ -69,9 +69,9 @@ std::string SerializeTrainState(const TrainState& state);
 /// Status error.
 Result<TrainState> ParseTrainState(const std::string& content);
 
-/// Durably writes `state` to `path`: atomic temp-fsync-rename, then a
-/// read-back verification (catching injected torn writes), retried with
-/// backoff. Fault points: io.checkpoint.write, io.checkpoint.verify.
+/// Durably writes `state` to `path` through WriteFileVerified (catching
+/// injected torn writes). Fault points: io.checkpoint.write,
+/// io.checkpoint.verify.
 Status SaveTrainStateAtomic(const std::string& path, const TrainState& state);
 
 /// Loads a checkpoint from `path`, retrying transient read faults. Fault

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "edge/common/hash.h"
 #include "edge/obs/metrics.h"
 
 namespace edge::fault {
@@ -37,17 +38,6 @@ std::map<std::string, PointConfig>& Points() {
   static std::map<std::string, PointConfig>* points =
       new std::map<std::string, PointConfig>();
   return *points;
-}
-
-/// FNV-1a 64-bit — default per-point seed so distinct points get distinct
-/// deterministic streams without any spec plumbing.
-uint64_t Fnv1a(const std::string& s) {
-  uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 /// xorshift64* — tiny self-contained generator; the fault layer sits below
@@ -117,7 +107,9 @@ bool ParseClause(const std::string& clause, std::string* point, PointConfig* con
     *error = "unknown fault mode '" + mode + "'";
     return false;
   }
-  config->rng = Fnv1a(*point) | 1ULL;
+  // FNV-1a of the point name: distinct points get distinct deterministic
+  // streams without any spec plumbing.
+  config->rng = Fnv1a64(*point) | 1ULL;
   for (size_t i = 1; i < parts.size(); ++i) {
     if (parts[i].empty()) continue;
     size_t kv = parts[i].find('=');

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <utility>
 
 #include "edge/common/file_util.h"
@@ -193,15 +192,6 @@ const char* DegradeReasonName(DegradeReason reason) {
   return "unknown";
 }
 
-Result<std::unique_ptr<GeoService>> GeoService::Create(std::istream* checkpoint,
-                                                       text::Gazetteer gazetteer,
-                                                       GeoServiceOptions options) {
-  EDGE_CHECK(checkpoint != nullptr);
-  auto model = core::EdgeModel::LoadInference(checkpoint);
-  if (!model.ok()) return model.status();
-  return Create(std::move(model).value(), std::move(gazetteer), options);
-}
-
 Result<std::unique_ptr<GeoService>> GeoService::Create(
     std::unique_ptr<core::EdgeModel> model, text::Gazetteer gazetteer,
     GeoServiceOptions options) {
@@ -361,6 +351,7 @@ std::future<ServeResponse> GeoService::SubmitAsync(std::string text,
       return future;
     }
     if (telemetry) pending.trace.Begin(obs::RequestStage::kQueue);
+    pending.state = state_;
     queue_.push_back(std::move(pending));
     metrics.queue_depth->Set(static_cast<double>(queue_.size()));
   }
@@ -378,24 +369,12 @@ uint64_t GeoService::model_generation() const {
   return state_->generation;
 }
 
-Status GeoService::ReloadCheckpoint(std::istream* in) {
-  EDGE_CHECK(in != nullptr);
+Status GeoService::Reload(std::unique_ptr<core::EdgeModel> model) {
   ServeMetrics& metrics = Metrics();
-  // Parse and validate before touching any served state: every LoadInference
-  // gate (magic, dimensions, finiteness) applies, and a failure leaves the
-  // old model serving untouched.
-  auto loaded = core::EdgeModel::LoadInference(in);
-  if (!loaded.ok()) {
+  if (model == nullptr) {
     metrics.reload_failures->Increment();
-    EDGE_LOG(WARN) << "model reload rejected"
-                   << obs::Kv("error", loaded.status().ToString());
-    return loaded.status();
+    return Status::InvalidArgument("null model");
   }
-  return AdoptReloadedModel(std::move(loaded).value());
-}
-
-Status GeoService::AdoptReloadedModel(std::unique_ptr<core::EdgeModel> model) {
-  ServeMetrics& metrics = Metrics();
   model->set_num_threads(options_.predict_threads);
   auto fresh = std::make_shared<ModelState>();
   fresh->fallback = model->FallbackPrediction();
@@ -416,38 +395,23 @@ Status GeoService::AdoptReloadedModel(std::unique_ptr<core::EdgeModel> model) {
 }
 
 Status GeoService::ReloadFromFile(const std::string& path) {
-  if (core::LooksLikeModelStore(path)) {
-    // Binary checkpoint: mmap + validate (per options_.model_store_verify)
-    // and swap — under kFast no step here scales with entity count. The
-    // store's Open probes the same io.checkpoint.read fault point as the
-    // text read, so transient-fault chaos drills cover both formats.
-    Result<std::shared_ptr<const core::MmapModelStore>> store = Status::Internal("");
-    Status status = RetryWithBackoff(/*attempts=*/4, /*base_backoff_ms=*/1.0, [&]() {
-      store = core::MmapModelStore::Open(path, options_.model_store_verify);
-      return store.ok() ? Status::Ok() : store.status();
-    });
-    if (status.ok()) {
-      auto loaded = core::EdgeModel::LoadFromStore(std::move(store).value());
-      if (loaded.ok()) return AdoptReloadedModel(std::move(loaded).value());
-      status = loaded.status();
-    }
-    Metrics().reload_failures->Increment();
-    EDGE_LOG(WARN) << "model store reload rejected" << obs::Kv("path", path)
-                   << obs::Kv("error", status.ToString());
-    return status;
-  }
-  std::string content;
+  // mmap + validate (per options_.model_store_verify) and swap — under kFast
+  // no step here scales with entity count. Validation runs before any served
+  // state changes, so a rejected store leaves the old model serving.
+  Result<std::shared_ptr<const core::MmapModelStore>> store = Status::Internal("");
   Status status = RetryWithBackoff(/*attempts=*/4, /*base_backoff_ms=*/1.0, [&]() {
-    return ReadFileToString(path, &content, "io.checkpoint.read");
+    store = core::MmapModelStore::Open(path, options_.model_store_verify);
+    return store.ok() ? Status::Ok() : store.status();
   });
-  if (!status.ok()) {
-    Metrics().reload_failures->Increment();
-    EDGE_LOG(WARN) << "model reload read failed" << obs::Kv("path", path)
-                   << obs::Kv("error", status.ToString());
-    return status;
+  if (status.ok()) {
+    auto loaded = core::EdgeModel::LoadFromStore(std::move(store).value());
+    if (loaded.ok()) return Reload(std::move(loaded).value());
+    status = loaded.status();
   }
-  std::istringstream in(content);
-  return ReloadCheckpoint(&in);
+  Metrics().reload_failures->Increment();
+  EDGE_LOG(WARN) << "model reload rejected" << obs::Kv("path", path)
+                 << obs::Kv("error", status.ToString());
+  return status;
 }
 
 ServeResponse GeoService::Predict(const std::string& text) {
@@ -599,7 +563,13 @@ bool GeoService::NextBatch(std::vector<Pending>* batch) {
       continue;
     }
     if (paused_ && !stop_) continue;
-    size_t n = std::min(queue_.size(), options_.max_batch);
+    // A batch never spans a reload: it stops at the first request submitted
+    // under a different model.
+    size_t n = 1;
+    while (n < std::min(queue_.size(), options_.max_batch) &&
+           queue_[n].state == queue_.front().state) {
+      ++n;
+    }
     batch->clear();
     batch->reserve(n);
     for (size_t i = 0; i < n; ++i) {
@@ -630,13 +600,10 @@ void GeoService::ProcessBatch(std::vector<Pending>* batch) {
   busy_workers_.fetch_add(1, std::memory_order_relaxed);
   obs::ScopedTimer drain_timer(metrics.batch_drain_seconds);
 
-  // Snapshot the model for the whole batch: a concurrent hot reload must not
-  // tear a batch across two models. In-flight responses carry this snapshot.
-  std::shared_ptr<const ModelState> state;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    state = state_;
-  }
+  // The whole batch was submitted under one model (NextBatch), which answers
+  // it even if a reload has swapped the service model since. In-flight
+  // responses carry this snapshot.
+  std::shared_ptr<const ModelState> state = batch->front().state;
 
   // Expired requests degrade to the prior; the rest go through the model's
   // tweet-parallel batch path.

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <deque>
 #include <future>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -185,14 +184,9 @@ struct ServiceStats {
 /// (fulfilling all futures) and joins the workers.
 class GeoService {
  public:
-  /// Loads an EDGE-INFERENCE v1 checkpoint; corrupt streams come back as a
-  /// Status error (the process keeps running). The gazetteer drives the NER
-  /// that maps raw text to entity ids.
-  static Result<std::unique_ptr<GeoService>> Create(std::istream* checkpoint,
-                                                    text::Gazetteer gazetteer,
-                                                    GeoServiceOptions options = {});
-
-  /// As above from an already-loaded (or freshly trained) model.
+  /// Serves an already-loaded (e.g. core::LoadModelStore) or freshly
+  /// trained model. The gazetteer drives the NER that maps raw text to
+  /// entity ids. Invalid options or a null model come back as a Status.
   static Result<std::unique_ptr<GeoService>> Create(
       std::unique_ptr<core::EdgeModel> model, text::Gazetteer gazetteer,
       GeoServiceOptions options = {});
@@ -211,20 +205,19 @@ class GeoService {
   /// Blocking convenience: SubmitAsync + get().
   ServeResponse Predict(const std::string& text);
 
-  /// Hot model reload: parses and fully validates an EDGE-INFERENCE v1
-  /// checkpoint (the same gates as Create), then atomically swaps it in. On
-  /// any validation failure the service keeps serving the old model and the
-  /// error comes back as a Status. In-flight batches finish on the model
-  /// they started with; the response cache is cleared with the swap.
-  Status ReloadCheckpoint(std::istream* in);
+  /// Hot model reload: atomically swaps in `model`, which the caller has
+  /// already loaded and validated (the store gates run before a model
+  /// exists). Requests submitted before the swap — queued or in flight — are
+  /// answered by the old model, requests submitted after by the new one; the
+  /// response cache is cleared with the generation bump. A null model is
+  /// rejected and the old model keeps serving.
+  Status Reload(std::unique_ptr<core::EdgeModel> model);
 
-  /// Hot reload from a checkpoint file of either format, retrying transient
-  /// read faults with backoff (fault point io.checkpoint.read). Text files
-  /// take the ReloadCheckpoint parse path; edge-model.v1 files are mmap'd and
-  /// verified per options.model_store_verify — under kFast that is an O(1)
-  /// map-and-swap regardless of entity count. Both paths preserve the reload
-  /// invariants: validation before any served-state change, in-flight batches
-  /// finish on their producing model, cache cleared with the generation bump.
+  /// Hot reload from an edge-model.v1 file: Open (verified per
+  /// options.model_store_verify, retrying transient read faults at fault
+  /// point io.checkpoint.read) + LoadFromStore + Reload. Under kFast that is
+  /// an O(1) map-and-swap regardless of entity count. On any failure the old
+  /// model keeps serving and the error comes back as a Status.
   Status ReloadFromFile(const std::string& path);
 
   /// The model currently being served (e.g. for projection() when rendering
@@ -261,6 +254,18 @@ class GeoService {
   void ResumeWorkers();
 
  private:
+  /// Everything that swaps as a unit on hot reload. Requests capture the
+  /// shared_ptr under mu_ at submission and workers use it lock-free for the
+  /// whole batch, so a reload never tears a batch across two models; the old
+  /// state dies when the last queued request and in-flight response release
+  /// it.
+  struct ModelState {
+    std::shared_ptr<const core::EdgeModel> model;
+    /// The prior answered for degraded requests, computed once per model.
+    core::EdgePrediction fallback;
+    uint64_t generation = 1;
+  };
+
   struct Pending {
     std::vector<text::Entity> entities;
     std::promise<ServeResponse> promise;
@@ -269,17 +274,10 @@ class GeoService {
     std::chrono::steady_clock::time_point deadline;
     /// Rides along through the queue; default (id 0) when telemetry is off.
     obs::TraceContext trace;
-  };
-
-  /// Everything that swaps as a unit on hot reload. Workers snapshot the
-  /// shared_ptr under mu_ and use it lock-free for the whole batch, so a
-  /// reload never tears a batch across two models; the old state dies when
-  /// the last in-flight response releases it.
-  struct ModelState {
-    std::shared_ptr<const core::EdgeModel> model;
-    /// The prior answered for degraded requests, computed once per model.
-    core::EdgePrediction fallback;
-    uint64_t generation = 1;
+    /// The model current at submission, which answers the request: a reload
+    /// takes effect exactly between the requests submitted before and after
+    /// it, however fast the swap and however deep the queue.
+    std::shared_ptr<const ModelState> state;
   };
 
   GeoService(std::unique_ptr<core::EdgeModel> model, text::Gazetteer gazetteer,
@@ -290,12 +288,9 @@ class GeoService {
   /// drained); returns false to terminate the worker.
   bool NextBatch(std::vector<Pending>* batch);
   void ProcessBatch(std::vector<Pending>* batch);
-  /// Validated-model tail shared by every reload path: thread budget, fresh
-  /// fallback, generation bump, state swap, cache clear.
-  Status AdoptReloadedModel(std::unique_ptr<core::EdgeModel> model);
   /// Sorted-entity-id cache key ("3,17,42") under `model`'s vocabulary
-  /// (entity graph or mapped store — ids agree across formats for the same
-  /// checkpoint); "" when no entity is known. Keys are only meaningful within
+  /// (entity graph or mapped store — ids agree between a fitted model and
+  /// its saved store); "" when no entity is known. Keys are only meaningful within
   /// one model generation (the cache is cleared on reload).
   static std::string CacheKey(const core::EdgeModel& model,
                               const std::vector<text::Entity>& entities);
@@ -322,7 +317,7 @@ class GeoService {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  /// Swapped wholesale by ReloadCheckpoint; read under mu_, then used
+  /// Swapped wholesale by Reload; read under mu_, then used
   /// lock-free via the snapshot.
   std::shared_ptr<const ModelState> state_;
   std::deque<Pending> queue_;

@@ -8,6 +8,7 @@
 
 #include "edge/common/file_util.h"
 #include "edge/common/hash.h"
+#include "edge/core/model_store.h"
 #include "edge/data/generator.h"
 #include "edge/fault/fault.h"
 #include "edge/geo/projection.h"
@@ -38,6 +39,14 @@ std::string SurfaceForm(const std::string& canonical) {
     if (c == '_') c = ' ';
   }
   return surface;
+}
+
+/// A servable model over the snapshot's fp64 store bytes.
+Result<std::unique_ptr<core::EdgeModel>> SnapshotModel(const SystemSnapshot& snapshot) {
+  Result<std::shared_ptr<const core::MmapModelStore>> store =
+      core::MmapModelStore::FromBytes(snapshot.model_store, core::StoreVerify::kFull);
+  if (!store.ok()) return store.status();
+  return core::EdgeModel::LoadFromStore(std::move(store).value());
 }
 
 /// Disarms script-configured fault points on every exit path, so a failed
@@ -213,9 +222,10 @@ Result<ScenarioResult> RunScenario(const SystemSnapshot& snapshot,
   Status status = serve_options.Validate();
   if (!status.ok()) return status;
 
-  std::istringstream checkpoint(snapshot.model_checkpoint);
+  Result<std::unique_ptr<core::EdgeModel>> model = SnapshotModel(snapshot);
+  if (!model.ok()) return model.status();
   Result<std::unique_ptr<serve::GeoService>> service = serve::GeoService::Create(
-      &checkpoint, generator.BuildGazetteer(), serve_options);
+      std::move(model).value(), generator.BuildGazetteer(), serve_options);
   if (!service.ok()) return service.status();
   serve::GeoService& geo = *service.value();
 
@@ -310,8 +320,9 @@ Result<ScenarioResult> RunScenario(const SystemSnapshot& snapshot,
         break;
       }
       case ScenarioEvent::Type::kReload: {
-        std::istringstream reload_in(snapshot.model_checkpoint);
-        Status reload_status = geo.ReloadCheckpoint(&reload_in);
+        Result<std::unique_ptr<core::EdgeModel>> fresh = SnapshotModel(snapshot);
+        if (!fresh.ok()) return fresh.status();
+        Status reload_status = geo.Reload(std::move(fresh).value());
         if (!reload_status.ok()) return reload_status;
         emit("{\"event\":\"reload\",\"generation\":" +
              std::to_string(geo.model_generation()) + "}");

@@ -31,6 +31,9 @@ constexpr size_t kMaxNodes = size_t{1} << 24;
 constexpr size_t kMaxEdges = size_t{1} << 26;
 constexpr size_t kMaxSectionBytes = size_t{1} << 30;
 constexpr int kNumEntityCategories = 10;  // kPerson .. kOther in text/ner.h.
+/// v2: the model section is an fp64 edge-model.v1 store (v1 carried a text
+/// checkpoint there).
+constexpr char kManifestHeader[] = "EDGE-SNAPSHOT v2";
 
 /// Sequential reader over the lines of a section payload. Sections are
 /// line-oriented so names containing spaces round-trip unambiguously.
@@ -213,7 +216,7 @@ struct SectionSpec {
 
 constexpr SectionSpec kSections[] = {
     {"world", true},  {"rng", true},   {"vocab", true},      {"graph", true},
-    {"model", true},  {"serve", true}, {"trainstate", false}, {"modelbin", false},
+    {"model", true},  {"serve", true}, {"trainstate", false},
 };
 
 std::string SectionPath(const std::string& dir, const std::string& name) {
@@ -619,12 +622,6 @@ Result<SystemSnapshot> CaptureSystemSnapshot(const core::EdgeModel& model,
   SystemSnapshot snapshot;
   snapshot.world = world;
   snapshot.rng = Rng(world.seed).SaveState();
-  std::ostringstream model_out;
-  status = model.SaveInference(&model_out);
-  if (!status.ok()) return status;
-  snapshot.model_checkpoint = model_out.str();
-  // fp64 keeps the store's predictions bitwise-identical to the text
-  // checkpoint, so either section can serve the replay.
   status = core::SerializeModelStore(model, core::EmbedPrecision::kFp64,
                                      &snapshot.model_store);
   if (!status.ok()) return status;
@@ -659,17 +656,14 @@ Status SaveSystemSnapshot(const SystemSnapshot& snapshot, const std::string& dir
   sections.emplace_back("rng", SerializeRngState(snapshot.rng) + "\n");
   sections.emplace_back("vocab", SerializeVocabulary(snapshot.vocabulary));
   sections.emplace_back("graph", SerializeEntityGraph(snapshot.graph));
-  sections.emplace_back("model", snapshot.model_checkpoint);
+  sections.emplace_back("model", snapshot.model_store);
   sections.emplace_back("serve", SerializeServeOptions(snapshot.serve_options));
   if (snapshot.has_train_state) {
     sections.emplace_back("trainstate", core::SerializeTrainState(snapshot.train_state));
   }
-  if (!snapshot.model_store.empty()) {
-    sections.emplace_back("modelbin", snapshot.model_store);
-  }
 
   std::ostringstream manifest;
-  manifest << "EDGE-SNAPSHOT v1\n";
+  manifest << kManifestHeader << "\n";
   for (const auto& [name, payload] : sections) {
     Status status = WriteFileAtomic(SectionPath(dir, name), payload,
                                     "io.snapshot.write");
@@ -711,7 +705,13 @@ Result<SystemSnapshot> LoadSystemSnapshot(const std::string& dir) {
 
   LineReader reader(manifest.substr(0, last_line_start));
   std::string line;
-  if (!reader.Next(&line) || line != "EDGE-SNAPSHOT v1") {
+  if (!reader.Next(&line) || line != kManifestHeader) {
+    // A v1 snapshot carries its model as a text checkpoint, which no loader
+    // reads any more: name the version so the fix (re-capture) is obvious.
+    if (line.rfind("EDGE-SNAPSHOT ", 0) == 0) {
+      return Status::InvalidArgument("unsupported snapshot version '" + line.substr(14) +
+                                     "' (this build reads " + kManifestHeader + ")");
+    }
     return Status::InvalidArgument("bad snapshot manifest header");
   }
   struct Listed {
@@ -792,16 +792,16 @@ Result<SystemSnapshot> LoadSystemSnapshot(const std::string& dir) {
   if (!graph.ok()) return graph.status();
   snapshot.graph = std::move(graph).value();
 
-  status = read_section("model", &snapshot.model_checkpoint);
+  status = read_section("model", &snapshot.model_store);
   if (!status.ok()) return status;
-  // Full LoadInference validation pass: the stored stream must construct a
-  // servable model (magic, dimensions, finiteness, plausibility gates).
-  std::istringstream model_in(snapshot.model_checkpoint);
-  Result<std::unique_ptr<core::EdgeModel>> model =
-      core::EdgeModel::LoadInference(&model_in);
-  if (!model.ok()) {
-    return Status::InvalidArgument("model section rejected: " +
-                                   model.status().ToString());
+  // Full store validation (header, manifest, per-section checksums, finite
+  // scans), then the same construction a GeoService serves from.
+  Result<std::shared_ptr<const core::MmapModelStore>> store =
+      core::MmapModelStore::FromBytes(snapshot.model_store, core::StoreVerify::kFull);
+  Status model_status = store.status();
+  if (store.ok()) model_status = core::EdgeModel::LoadFromStore(store.value()).status();
+  if (!model_status.ok()) {
+    return Status::InvalidArgument("model section rejected: " + model_status.ToString());
   }
 
   status = read_section("serve", &payload);
@@ -819,41 +819,15 @@ Result<SystemSnapshot> LoadSystemSnapshot(const std::string& dir) {
     snapshot.has_train_state = true;
   }
 
-  if (listed.find("modelbin") != listed.end()) {
-    status = read_section("modelbin", &snapshot.model_store);
-    if (!status.ok()) return status;
-    // Full store validation (header, manifest, per-section checksums, finite
-    // scans), then a cross-check that the binary store describes the same
-    // model as the text section: same vocabulary, id for id.
-    Result<std::shared_ptr<const core::MmapModelStore>> store =
-        core::MmapModelStore::FromBytes(snapshot.model_store,
-                                        core::StoreVerify::kFull);
-    if (!store.ok()) {
-      return Status::InvalidArgument("modelbin section rejected: " +
-                                     store.status().ToString());
-    }
-    const core::MmapModelStore& bin = *store.value();
-    if (bin.num_nodes() != model.value()->num_entities()) {
-      return Status::InvalidArgument(
-          "modelbin and model sections disagree on node count");
-    }
-    for (size_t id = 0; id < bin.num_nodes(); ++id) {
-      if (bin.NodeName(id) != model.value()->NodeNameOf(id)) {
-        return Status::InvalidArgument(
-            "modelbin and model sections disagree at node " + std::to_string(id));
-      }
-    }
-  }
-
   // Cross-section consistency: the model's node table must be the graph's,
   // id for id, and every graph node must be a vocabulary entry — a snapshot
   // assembled from mismatched captures must not load.
-  const graph::EntityGraph& model_graph = model.value()->entity_graph();
-  if (model_graph.num_nodes() != snapshot.graph.num_nodes()) {
+  const core::MmapModelStore& model_store = *store.value();
+  if (model_store.num_nodes() != snapshot.graph.num_nodes()) {
     return Status::InvalidArgument("model and graph sections disagree on node count");
   }
   for (size_t id = 0; id < snapshot.graph.num_nodes(); ++id) {
-    if (model_graph.NodeName(id) != snapshot.graph.NodeName(id)) {
+    if (model_store.NodeName(id) != snapshot.graph.NodeName(id)) {
       return Status::InvalidArgument("model and graph sections disagree at node " +
                                      std::to_string(id));
     }

@@ -17,8 +17,8 @@
 /// Versioned whole-system snapshot (DESIGN.md §13): everything the pipeline
 /// needs to reproduce an end-to-end run bit-for-bit — the generative world
 /// and its RNG position, the entity vocabulary and co-occurrence graph the
-/// training split induced, the trained model's inference checkpoint, the
-/// optional in-flight training state, and the serving configuration. A
+/// training split induced, the trained model as an fp64 edge-model.v1 store,
+/// the optional in-flight training state, and the serving configuration. A
 /// snapshot directory is the unit the scenario harness replays against
 /// (snapshot/scenario.h), and the regression net the networked-sharding and
 /// streaming-world refactors are verified under.
@@ -28,16 +28,17 @@
 /// count and FNV-1a checksum and is itself terminated by an `END <fnv1a-hex>`
 /// line over its own body. `Load(dir)` verifies the manifest checksum, then
 /// every section's size + checksum, then parses each section under the same
-/// untrusted-input discipline as EdgeModel::LoadInference: truncations, bit
-/// flips, absurd sizes, out-of-range indices and non-finite values all come
-/// back as a Status — never an abort, never a partially constructed
-/// snapshot.
+/// untrusted-input discipline as MmapModelStore: truncations, bit flips,
+/// absurd sizes, out-of-range indices and non-finite values all come back as
+/// a Status — never an abort, never a partially constructed snapshot. The
+/// manifest header is `EDGE-SNAPSHOT v2`; v1 snapshots (text model section)
+/// are rejected with a Status naming the version.
 
 namespace edge::snapshot {
 
-/// The full captured state. The model travels as its serialized
-/// EDGE-INFERENCE v1 stream (validated on load, and exactly what a
-/// GeoService consumes); everything else is held as parsed values.
+/// The full captured state. The model travels as its serialized fp64
+/// edge-model.v1 store (validated on load, and exactly what a GeoService
+/// serves from); everything else is held as parsed values.
 struct SystemSnapshot {
   /// The generative world: enough to rebuild the TweetGenerator, its
   /// gazetteer, and therefore the NER — all pure functions of this config.
@@ -50,20 +51,15 @@ struct SystemSnapshot {
   /// Training-split entity vocabulary (token -> occurrence count).
   text::Vocabulary vocabulary;
 
-  /// The co-occurrence entity graph with its real edge weights. The
-  /// EDGE-INFERENCE stream only carries node names (inference needs no
-  /// edges), so this section is what preserves graph structure across a
-  /// snapshot/restore cycle.
+  /// The co-occurrence entity graph with its real edge weights. The model
+  /// store only carries node names (inference needs no edges), so this
+  /// section is what preserves graph structure across a snapshot/restore
+  /// cycle.
   graph::EntityGraph graph;
 
-  /// Serialized EDGE-INFERENCE v1 checkpoint (core/edge_model.h).
-  std::string model_checkpoint;
-
-  /// Serialized edge-model.v1 binary store at fp64 (core/model_store.h) —
-  /// the artifact a serving replica mmap-reloads without an O(model) parse.
-  /// Optional ("" = absent) for back-compat with pre-PR-8 snapshots; when
-  /// present, Load validates it under the full store gates and cross-checks
-  /// its vocabulary against the model section.
+  /// Serialized edge-model.v1 store at fp64 (core/model_store.h), the
+  /// `model` section. Load checks it under StoreVerify::kFull and requires
+  /// its vocabulary to match the graph section id for id.
   std::string model_store;
 
   /// Serving configuration the scenario harness replays under.

@@ -1,13 +1,15 @@
 #include "edge/core/edge_model.h"
 
 #include <cmath>
+#include <cstring>
 #include <unordered_map>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "edge/common/check.h"
+#include "edge/common/hash.h"
 #include "edge/common/math_util.h"
+#include "edge/core/model_store.h"
 #include "edge/data/generator.h"
 #include "edge/data/worlds.h"
 #include "edge/eval/metrics.h"
@@ -188,94 +190,108 @@ TEST_F(EdgeModelTest, AttentionFavoursFineGrainedEntities) {
   EXPECT_GT(non_uniform, 0u) << "attention collapsed to exactly uniform";
 }
 
+/// The fixture model's fp64 edge-model.v1 store bytes.
+std::string StoreBytes(const EdgeModel& model) {
+  std::string bytes;
+  Status status = SerializeModelStore(model, EmbedPrecision::kFp64, &bytes);
+  EDGE_CHECK(status.ok()) << status.ToString();
+  return bytes;
+}
+
+Result<std::unique_ptr<EdgeModel>> LoadStoreBytes(std::string bytes) {
+  auto store = MmapModelStore::FromBytes(std::move(bytes));
+  if (!store.ok()) return store.status();
+  return EdgeModel::LoadFromStore(std::move(store).value());
+}
+
+/// Re-seals the header checksum after a deliberate header edit, so the
+/// semantic gate behind the checksum is what fires.
+std::string Resealed(std::string bytes) {
+  uint64_t checksum = Fnv1a64Bytes(bytes.data(), 120);
+  std::memcpy(bytes.data() + 120, &checksum, sizeof(checksum));
+  return bytes;
+}
+
+std::string WithHeaderU64(std::string bytes, size_t offset, uint64_t value) {
+  std::memcpy(bytes.data() + offset, &value, sizeof(value));
+  return Resealed(std::move(bytes));
+}
+
 TEST_F(EdgeModelTest, SaveLoadRoundTripPredictsIdentically) {
-  std::stringstream stream;
-  Status status = model_->SaveInference(&stream);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-  auto loaded = EdgeModel::LoadInference(&stream);
+  auto loaded = LoadStoreBytes(StoreBytes(*model_));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   for (size_t i = 0; i < std::min<size_t>(10, dataset_->test.size()); ++i) {
     EdgePrediction original = model_->Predict(dataset_->test[i]);
     EdgePrediction restored = loaded.value()->Predict(dataset_->test[i]);
-    EXPECT_NEAR(original.point.lat, restored.point.lat, 1e-9);
-    EXPECT_NEAR(original.point.lon, restored.point.lon, 1e-9);
+    EXPECT_EQ(original.point.lat, restored.point.lat);
+    EXPECT_EQ(original.point.lon, restored.point.lon);
     ASSERT_EQ(original.attention.size(), restored.attention.size());
     for (size_t k = 0; k < original.attention.size(); ++k) {
-      EXPECT_NEAR(original.attention[k].weight, restored.attention[k].weight, 1e-9);
+      EXPECT_EQ(original.attention[k].weight, restored.attention[k].weight);
     }
   }
 }
 
 TEST_F(EdgeModelTest, LoadRejectsGarbage) {
-  std::stringstream bad("not a model");
-  auto result = EdgeModel::LoadInference(&bad);
-  EXPECT_FALSE(result.ok());
-}
-
-/// Returns the fixture model's checkpoint with text line `index` (0-based)
-/// replaced by `replacement`.
-std::string CorruptCheckpointLine(EdgeModel* model, size_t index,
-                                  const std::string& replacement) {
-  std::stringstream stream;
-  EDGE_CHECK(model->SaveInference(&stream).ok());
-  std::string text = stream.str();
-  size_t begin = 0;
-  for (size_t i = 0; i < index; ++i) begin = text.find('\n', begin) + 1;
-  size_t end = text.find('\n', begin);
-  return text.substr(0, begin) + replacement + text.substr(end);
+  EXPECT_FALSE(LoadStoreBytes("not a model").ok());
 }
 
 TEST_F(EdgeModelTest, LoadRejectsTruncatedStreams) {
   // Regression: a checkpoint cut off mid-write (full disk, killed trainer)
-  // used to abort the loader or construct garbage-sized matrices.
-  std::stringstream stream;
-  ASSERT_TRUE(model_->SaveInference(&stream).ok());
-  std::string full = stream.str();
+  // must come back as a Status, never an abort or garbage-sized matrices.
+  std::string full = StoreBytes(*model_);
   for (size_t cut : {full.size() / 2, full.size() / 4, size_t{40}}) {
-    std::stringstream truncated(full.substr(0, cut));
-    auto result = EdgeModel::LoadInference(&truncated);
-    EXPECT_FALSE(result.ok()) << "accepted a checkpoint truncated to " << cut
-                              << " of " << full.size() << " bytes";
+    EXPECT_FALSE(LoadStoreBytes(full.substr(0, cut)).ok())
+        << "accepted a checkpoint truncated to " << cut << " of " << full.size()
+        << " bytes";
   }
 }
 
 TEST_F(EdgeModelTest, LoadRejectsWrongMagic) {
-  std::stringstream bad(
-      CorruptCheckpointLine(model_, 0, "EDGE-TRAINING v1"));
-  auto result = EdgeModel::LoadInference(&bad);
-  EXPECT_FALSE(result.ok());
-  EXPECT_NE(result.status().ToString().find("header"), std::string::npos);
+  std::string bytes = StoreBytes(*model_);
+  bytes.replace(0, 8, "EDGETRN1");
+  auto result = LoadStoreBytes(Resealed(bytes));
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().ToString().find("magic"), std::string::npos);
 }
 
 TEST_F(EdgeModelTest, LoadRejectsDimensionMismatch) {
-  // Inflate the declared node count on line 4 ("num_nodes hidden"): the
-  // embedding matrix that follows no longer matches and must be rejected,
+  // Inflate the declared node count (header offset 40): the vocabulary and
+  // embedding sections that follow no longer match and must be rejected,
   // not read past.
   size_t num_nodes = model_->entity_graph().num_nodes();
-  std::stringstream bad(CorruptCheckpointLine(
-      model_, 4, std::to_string(num_nodes + 1) + " 32"));
-  auto result = EdgeModel::LoadInference(&bad);
+  auto result = LoadStoreBytes(WithHeaderU64(StoreBytes(*model_), 40, num_nodes + 1));
   EXPECT_FALSE(result.ok());
 }
 
 TEST_F(EdgeModelTest, LoadRejectsCorruptComponentCount) {
-  // Line 2 is "num_components sigma_min rho_max use_attention". Zero used to
-  // abort inside the EdgeModel constructor's config check; a negative token
-  // wraps size_t extraction to ~2^64 and used to size an allocation.
-  for (const char* count : {"0", "-5", "99999999"}) {
-    std::stringstream bad(CorruptCheckpointLine(
-        model_, 2, std::string(count) + " 0.5 0.9 1"));
-    auto result = EdgeModel::LoadInference(&bad);
-    EXPECT_FALSE(result.ok()) << "accepted num_components = " << count;
+  // The config section (first after the 128-byte header) opens with
+  // "EDGE\n4 ...": display name, then num_components. Rewriting that prefix
+  // in place as "E\n<count>" (whitespace-padded, same length) edits the
+  // count; kFast skips section checksums, so the edit reaches the config
+  // gates. Zero would abort inside the EdgeModel constructor's config check;
+  // a negative token wraps size_t extraction to ~2^64; 9999 is past the
+  // component cap.
+  std::string full = StoreBytes(*model_);
+  size_t prefix_end = full.find(' ', full.find('\n', 128));
+  ASSERT_LT(prefix_end, full.size());
+  auto with_count = [&](const std::string& count) {
+    std::string bytes = full;
+    bytes.replace(128, prefix_end - 128,
+                  "E\n" + std::string(prefix_end - 130 - count.size(), ' ') + count);
+    return bytes;
+  };
+  ASSERT_TRUE(MmapModelStore::FromBytes(with_count("4"), StoreVerify::kFast).ok());
+  for (const char* count : {"0", "-5", "9999"}) {
+    EXPECT_FALSE(MmapModelStore::FromBytes(with_count(count), StoreVerify::kFast).ok())
+        << "accepted num_components = " << count;
   }
 }
 
 TEST_F(EdgeModelTest, RoundTripPredictPointsBitwiseAcrossThreadBudgets) {
   // The serving chain (save -> load -> batched predict at any thread budget)
   // must answer bit-for-bit what the trained model answers serially.
-  std::stringstream stream;
-  ASSERT_TRUE(model_->SaveInference(&stream).ok());
-  auto loaded = EdgeModel::LoadInference(&stream);
+  auto loaded = LoadStoreBytes(StoreBytes(*model_));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   size_t n = std::min<size_t>(200, dataset_->test.size());

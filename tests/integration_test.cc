@@ -9,8 +9,11 @@
 /// world the generators re-derive from is the one that survived
 /// serialization, not an inline re-specification.
 
+#include <unistd.h>
+
 #include <cmath>
 #include <filesystem>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -49,13 +52,17 @@ SharedFixture& Fixture() {
     EDGE_CHECK(built.ok()) << built.status().ToString();
     f->artifacts = std::move(built).value();
 
-    std::string dir = ::testing::TempDir() + "integration_snapshot_fixture";
+    // One directory per process: ctest runs each test of this binary as its
+    // own process, in parallel, and every one builds this fixture.
+    std::string dir = ::testing::TempDir() + "integration_snapshot_fixture_" +
+                      std::to_string(::getpid());
     std::filesystem::remove_all(dir);
     Status saved = snapshot::SaveSystemSnapshot(f->artifacts.snapshot, dir);
     EDGE_CHECK(saved.ok()) << saved.ToString();
     Result<snapshot::SystemSnapshot> loaded = snapshot::LoadSystemSnapshot(dir);
     EDGE_CHECK(loaded.ok()) << loaded.status().ToString();
     f->loaded = std::move(loaded).value();
+    std::filesystem::remove_all(dir);
     return f;
   }();
   return *fixture;
@@ -77,8 +84,8 @@ TEST(IntegrationTest, EndToEndDeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(a.median_km, b.median_km);
   EXPECT_DOUBLE_EQ(a.at_3km, b.at_3km);
   // And the captured snapshots agree byte for byte.
-  EXPECT_EQ(rebuilt.value().snapshot.model_checkpoint,
-            fixture.artifacts.snapshot.model_checkpoint);
+  EXPECT_EQ(rebuilt.value().snapshot.model_store,
+            fixture.artifacts.snapshot.model_store);
 }
 
 TEST(IntegrationTest, SnapshotSurvivesDiskCycleConsistently) {
@@ -86,8 +93,8 @@ TEST(IntegrationTest, SnapshotSurvivesDiskCycleConsistently) {
   SharedFixture& fixture = Fixture();
   EXPECT_EQ(snapshot::SerializeWorldConfig(fixture.loaded.world),
             snapshot::SerializeWorldConfig(fixture.artifacts.snapshot.world));
-  EXPECT_EQ(fixture.loaded.model_checkpoint,
-            fixture.artifacts.snapshot.model_checkpoint);
+  EXPECT_EQ(fixture.loaded.model_store,
+            fixture.artifacts.snapshot.model_store);
   EXPECT_EQ(fixture.loaded.graph.num_nodes(),
             fixture.artifacts.model->entity_graph().num_nodes());
   EXPECT_EQ(fixture.loaded.graph.num_edges(),

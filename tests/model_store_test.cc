@@ -8,22 +8,24 @@
 #include <fstream>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "edge/common/check.h"
+#include "edge/common/file_util.h"
 #include "edge/common/hash.h"
 #include "edge/core/edge_model.h"
 #include "edge/data/generator.h"
 #include "edge/data/pipeline.h"
 #include "edge/data/worlds.h"
+#include "edge/fault/fault.h"
 #include "edge/graph/entity_graph.h"
 
-/// edge-model.v1 drills (DESIGN.md §15): bitwise text<->binary round trips,
-/// store-backed prediction parity at several thread budgets, zero-copy
+/// edge-model.v1 drills (DESIGN.md §15): bitwise save/load round trips,
+/// torn-write recovery, store-backed prediction parity with the fitted model
+/// at several thread budgets, zero-copy
 /// aliasing, quantization error bounds, and the untrusted-input sweep — every
 /// header truncation, sampled bit flips over the whole file, wrong
 /// magic/version/endianness and implausible dimensions must come back from
@@ -64,8 +66,8 @@ bool Rejected(const std::string& bytes,
 
 // --- Fixture --------------------------------------------------------------
 
-/// One trained model per test binary, plus its canonical text checkpoint and
-/// fp64 store bytes. Everything is read-only after SetUpTestSuite.
+/// One trained model per test binary, plus its fp64 store bytes. Everything
+/// is read-only after SetUpTestSuite.
 class ModelStoreTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -89,23 +91,16 @@ class ModelStoreTest : public ::testing::Test {
     model_ = new EdgeModel(config);
     model_->Fit(*processed_);
 
-    std::ostringstream text;
-    Status status = model_->SaveInference(&text);
-    EDGE_CHECK(status.ok()) << status.ToString();
-    text_checkpoint_ = new std::string(text.str());
-
     store_bytes_ = new std::string();
-    status = SerializeModelStore(*model_, EmbedPrecision::kFp64, store_bytes_);
+    Status status = SerializeModelStore(*model_, EmbedPrecision::kFp64, store_bytes_);
     EDGE_CHECK(status.ok()) << status.ToString();
   }
 
   static void TearDownTestSuite() {
     delete store_bytes_;
-    delete text_checkpoint_;
     delete model_;
     delete processed_;
     store_bytes_ = nullptr;
-    text_checkpoint_ = nullptr;
     model_ = nullptr;
     processed_ = nullptr;
   }
@@ -138,13 +133,11 @@ class ModelStoreTest : public ::testing::Test {
 
   static data::ProcessedDataset* processed_;
   static EdgeModel* model_;
-  static std::string* text_checkpoint_;
   static std::string* store_bytes_;
 };
 
 data::ProcessedDataset* ModelStoreTest::processed_ = nullptr;
 EdgeModel* ModelStoreTest::model_ = nullptr;
-std::string* ModelStoreTest::text_checkpoint_ = nullptr;
 std::string* ModelStoreTest::store_bytes_ = nullptr;
 
 void ExpectBitwiseEqual(const EdgePrediction& a, const EdgePrediction& b) {
@@ -169,38 +162,47 @@ void ExpectBitwiseEqual(const EdgePrediction& a, const EdgePrediction& b) {
 
 // --- Round trips ----------------------------------------------------------
 
-TEST_F(ModelStoreTest, TextBinaryTextRoundTripIsBitwise) {
-  std::unique_ptr<EdgeModel> reloaded = LoadStoreModel(*store_bytes_);
-  std::ostringstream out;
-  ASSERT_TRUE(reloaded->SaveInference(&out).ok());
-  EXPECT_EQ(out.str(), *text_checkpoint_);
+TEST_F(ModelStoreTest, StoreRoundTripReserializesBitwise) {
+  // fp64 is lossless: a store-backed model serializes back to the exact
+  // bytes it was loaded from, under either verify tier.
+  for (StoreVerify verify : {StoreVerify::kFull, StoreVerify::kFast}) {
+    std::unique_ptr<EdgeModel> reloaded = LoadStoreModel(*store_bytes_, verify);
+    std::string again;
+    ASSERT_TRUE(SerializeModelStore(*reloaded, EmbedPrecision::kFp64, &again).ok());
+    EXPECT_EQ(again, *store_bytes_);
+  }
 }
 
-TEST_F(ModelStoreTest, FileRoundTripThroughLoadInferenceAuto) {
-  std::string dir = ::testing::TempDir();
-  std::string bin_path = dir + "model_store_roundtrip.bin";
+TEST_F(ModelStoreTest, FileRoundTripThroughLoadModelStore) {
+  std::string path = ::testing::TempDir() + "model_store_roundtrip.edge";
+  ASSERT_TRUE(SaveModelStoreAtomic(*model_, EmbedPrecision::kFp64, path).ok());
+  std::string on_disk;
+  ASSERT_TRUE(ReadFileToString(path, &on_disk).ok());
+  EXPECT_EQ(on_disk, *store_bytes_);
+
+  auto loaded = LoadModelStore(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_NE(loaded.value()->store(), nullptr);
+  std::string again;
   ASSERT_TRUE(
-      SaveModelStoreAtomic(*model_, EmbedPrecision::kFp64, bin_path).ok());
-  EXPECT_TRUE(LooksLikeModelStore(bin_path));
+      SerializeModelStore(*loaded.value(), EmbedPrecision::kFp64, &again).ok());
+  EXPECT_EQ(again, *store_bytes_);
+  std::filesystem::remove(path);
+}
 
-  auto from_bin = LoadInferenceAuto(bin_path);
-  ASSERT_TRUE(from_bin.ok()) << from_bin.status().ToString();
-  std::ostringstream bin_text;
-  ASSERT_TRUE(from_bin.value()->SaveInference(&bin_text).ok());
-  EXPECT_EQ(bin_text.str(), *text_checkpoint_);
-
-  // And the text path through the same sniffing loader.
-  std::string text_path = dir + "model_store_roundtrip.edge";
-  {
-    std::ofstream out(text_path, std::ios::binary | std::ios::trunc);
-    out << *text_checkpoint_;
-  }
-  EXPECT_FALSE(LooksLikeModelStore(text_path));
-  auto from_text = LoadInferenceAuto(text_path);
-  ASSERT_TRUE(from_text.ok()) << from_text.status().ToString();
-  EXPECT_EQ(from_text.value()->num_entities(), model_->num_entities());
-  std::filesystem::remove(bin_path);
-  std::filesystem::remove(text_path);
+TEST_F(ModelStoreTest, SaveSurvivesInjectedTornWriteByReadback) {
+  // An injected short write persists half the file yet reports success
+  // (fault semantics of WriteFileAtomic); the saver's read-back must catch
+  // it and retry, so what lands at the final path opens under kFull.
+  fault::Disarm();
+  std::string path = ::testing::TempDir() + "model_store_torn.edge";
+  ASSERT_TRUE(fault::Configure("io.checkpoint.write=short_write,frac=0.5,times=1"));
+  Status status = SaveModelStoreAtomic(*model_, EmbedPrecision::kInt8, path);
+  fault::Disarm();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  auto store = MmapModelStore::Open(path, StoreVerify::kFull);
+  EXPECT_TRUE(store.ok()) << store.status().ToString();
+  std::filesystem::remove(path);
 }
 
 TEST_F(ModelStoreTest, SerializationIsDeterministic) {
@@ -210,30 +212,27 @@ TEST_F(ModelStoreTest, SerializationIsDeterministic) {
 
 // --- Prediction parity ----------------------------------------------------
 
-TEST_F(ModelStoreTest, StorePredictionsBitwiseMatchTextModelAtThreadBudgets) {
+TEST_F(ModelStoreTest, StorePredictionsBitwiseMatchFittedModelAtThreadBudgets) {
   std::unique_ptr<EdgeModel> store_model = LoadStoreModel(*store_bytes_);
-  std::istringstream text_in(*text_checkpoint_);
-  auto text_model = EdgeModel::LoadInference(&text_in);
-  ASSERT_TRUE(text_model.ok()) << text_model.status().ToString();
-
   std::vector<data::ProcessedTweet> tweets = TestTweets();
+  std::vector<EdgePrediction> reference;
+  for (const data::ProcessedTweet& tweet : tweets) {
+    reference.push_back(model_->Predict(tweet));
+  }
   for (int threads : {1, 2, 4}) {
     store_model->set_num_threads(threads);
-    text_model.value()->set_num_threads(threads);
     std::vector<EdgePrediction> from_store;
-    std::vector<EdgePrediction> from_text;
     store_model->PredictBatch(tweets, &from_store);
-    text_model.value()->PredictBatch(tweets, &from_text);
-    ASSERT_EQ(from_store.size(), from_text.size());
+    ASSERT_EQ(from_store.size(), reference.size());
     for (size_t i = 0; i < from_store.size(); ++i) {
-      ExpectBitwiseEqual(from_store[i], from_text[i]);
+      ExpectBitwiseEqual(from_store[i], reference[i]);
     }
   }
 }
 
-TEST_F(ModelStoreTest, NodeIdsAgreeWithTextCheckpoint) {
-  // The serve cache keys on entity ids; binary and text models must assign
-  // the same id to every name (vocab is stored in node-id order).
+TEST_F(ModelStoreTest, NodeIdsAgreeWithFittedModel) {
+  // The serve cache keys on entity ids; the store-backed model must assign
+  // the fitted model's id to every name (vocab is stored in node-id order).
   std::unique_ptr<EdgeModel> store_model = LoadStoreModel(*store_bytes_);
   ASSERT_EQ(store_model->num_entities(), model_->num_entities());
   for (size_t id = 0; id < model_->num_entities(); ++id) {
@@ -505,14 +504,17 @@ TEST_F(ModelStoreTest, UnfittedModelDoesNotSerialize) {
 }
 
 TEST(ModelStoreSniffTest, MissingAndForeignFilesAreHandled) {
-  EXPECT_FALSE(LooksLikeModelStore("/nonexistent/model.bin"));
-  std::string path = ::testing::TempDir() + "model_store_foreign.bin";
+  EXPECT_FALSE(LoadModelStore("/nonexistent/model.edge").ok());
+  std::string path = ::testing::TempDir() + "model_store_foreign.edge";
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << "EDGE-INFERENCE v1\nnot a binary store\n";
+    // A different checkpoint kind, longer than a store header.
+    out << "EDGE-TRAINSTATE v1\n" << std::string(256, '0') << "\n";
   }
-  EXPECT_FALSE(LooksLikeModelStore(path));
-  EXPECT_FALSE(LoadInferenceAuto(path).ok());  // Text parse fails cleanly.
+  auto loaded = LoadModelStore(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().ToString().find("magic"), std::string::npos)
+      << loaded.status().ToString();
   std::filesystem::remove(path);
 }
 

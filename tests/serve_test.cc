@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "edge/common/check.h"
-#include "edge/common/file_util.h"
 #include "edge/core/model_store.h"
 #include "edge/data/generator.h"
 #include "edge/data/pipeline.h"
@@ -51,8 +49,8 @@ void ExpectBitwiseEqual(const core::EdgePrediction& a,
   }
 }
 
-/// Trains one small model per test binary and hands out fresh services over
-/// checkpoint copies of it.
+/// Trains two small models per test binary and hands out fresh services over
+/// their fp64 edge-model.v1 stores.
 class GeoServiceTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -77,22 +75,22 @@ class GeoServiceTest : public ::testing::Test {
     config.entity2vec.epochs = 2;
     core::EdgeModel model(config);
     model.Fit(processed);
-
-    std::stringstream stream;
-    Status status = model.SaveInference(&stream);
+    checkpoint_ = new std::string();
+    Status status =
+        core::SerializeModelStore(model, core::EmbedPrecision::kFp64, checkpoint_);
     EDGE_CHECK(status.ok()) << status.ToString();
-    checkpoint_ = new std::string(stream.str());
 
     // A second, distinguishable model (fewer epochs -> different weights)
-    // over the same gazetteer, for the hot-reload drills.
+    // over the same gazetteer, for the hot-reload drills. Kept fitted: the
+    // reload parity drill compares against it.
     core::EdgeConfig config2 = config;
     config2.epochs = 4;
-    core::EdgeModel model2(config2);
-    model2.Fit(processed);
-    std::stringstream stream2;
-    status = model2.SaveInference(&stream2);
+    fitted2_ = new core::EdgeModel(config2);
+    fitted2_->Fit(processed);
+    checkpoint2_ = new std::string();
+    status = core::SerializeModelStore(*fitted2_, core::EmbedPrecision::kFp64,
+                                       checkpoint2_);
     EDGE_CHECK(status.ok()) << status.ToString();
-    checkpoint2_ = new std::string(stream2.str());
 
     // Request texts with a mix of known entities, repeats and no-entity
     // tweets; the degenerate cases are the point of serving every request.
@@ -109,18 +107,37 @@ class GeoServiceTest : public ::testing::Test {
     delete texts_;
     delete checkpoint2_;
     delete checkpoint_;
+    delete fitted2_;
     delete gazetteer_;
     texts_ = nullptr;
     checkpoint2_ = nullptr;
     checkpoint_ = nullptr;
+    fitted2_ = nullptr;
     gazetteer_ = nullptr;
   }
 
+  /// A servable model over store bytes (the path every loader takes).
+  static std::unique_ptr<core::EdgeModel> LoadModel(const std::string& bytes) {
+    auto store = core::MmapModelStore::FromBytes(bytes);
+    EDGE_CHECK(store.ok()) << store.status().ToString();
+    auto model = core::EdgeModel::LoadFromStore(std::move(store).value());
+    EDGE_CHECK(model.ok()) << model.status().ToString();
+    return std::move(model).value();
+  }
+
   static std::unique_ptr<GeoService> MakeService(GeoServiceOptions options) {
-    std::stringstream stream(*checkpoint_);
-    auto service = GeoService::Create(&stream, *gazetteer_, options);
+    auto service = GeoService::Create(LoadModel(*checkpoint_), *gazetteer_, options);
     EDGE_CHECK(service.ok()) << service.status().ToString();
     return std::move(service).value();
+  }
+
+  /// Writes `bytes` to a temp file and returns its path.
+  static std::string WriteTemp(const std::string& bytes, const std::string& name) {
+    std::string path = ::testing::TempDir() + "/" + name;
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+    EDGE_CHECK(out.good()) << path;
+    return path;
   }
 
   /// What the serial unbatched path answers for `text`, computed through the
@@ -137,12 +154,14 @@ class GeoServiceTest : public ::testing::Test {
   static text::Gazetteer* gazetteer_;
   static std::string* checkpoint_;
   static std::string* checkpoint2_;
+  static core::EdgeModel* fitted2_;
   static std::vector<std::string>* texts_;
 };
 
 text::Gazetteer* GeoServiceTest::gazetteer_ = nullptr;
 std::string* GeoServiceTest::checkpoint_ = nullptr;
 std::string* GeoServiceTest::checkpoint2_ = nullptr;
+core::EdgeModel* GeoServiceTest::fitted2_ = nullptr;
 std::vector<std::string>* GeoServiceTest::texts_ = nullptr;
 
 TEST_F(GeoServiceTest, OptionsValidation) {
@@ -163,17 +182,22 @@ TEST_F(GeoServiceTest, OptionsValidation) {
   options.predict_threads = -2;
   EXPECT_FALSE(options.Validate().ok());
 
-  std::stringstream stream(*checkpoint_);
   options = GeoServiceOptions();
   options.max_batch = 0;
-  auto service = GeoService::Create(&stream, *gazetteer_, options);
+  auto service = GeoService::Create(LoadModel(*checkpoint_), *gazetteer_, options);
   EXPECT_FALSE(service.ok());
 }
 
+// Service start-up over a corrupt checkpoint: the store gates reject the
+// file before any model exists, and Create refuses to serve without one.
 TEST_F(GeoServiceTest, CreateRejectsCorruptCheckpoint) {
-  std::stringstream bad(checkpoint_->substr(0, checkpoint_->size() / 2));
-  auto service = GeoService::Create(&bad, *gazetteer_, GeoServiceOptions());
+  std::string path =
+      WriteTemp(checkpoint_->substr(0, checkpoint_->size() / 2), "serve_create_torn.edge");
+  auto model = core::LoadModelStore(path);
+  EXPECT_FALSE(model.ok());
+  auto service = GeoService::Create(nullptr, *gazetteer_, GeoServiceOptions());
   EXPECT_FALSE(service.ok());
+  std::filesystem::remove(path);
 }
 
 // The tentpole contract: at every (worker count x batch size x model thread
@@ -428,8 +452,7 @@ TEST_F(GeoServiceTest, HotReloadSwapsModelUnderConcurrentLoad) {
     });
   }
 
-  std::stringstream fresh(*checkpoint2_);
-  Status status = service->ReloadCheckpoint(&fresh);
+  Status status = service->Reload(LoadModel(*checkpoint2_));
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   running = false;
   for (std::thread& client : clients) client.join();
@@ -447,9 +470,10 @@ TEST_F(GeoServiceTest, HotReloadSwapsModelUnderConcurrentLoad) {
   }
 }
 
-// A corrupt checkpoint must be rejected by the same gates as startup, and
-// the old model keeps serving unchanged.
+// A truncated or foreign checkpoint must be rejected by the same gates as
+// startup, and the old model keeps serving unchanged.
 TEST_F(GeoServiceTest, HotReloadCorruptCheckpointRollsBack) {
+  fault::Disarm();
   GeoServiceOptions options;
   options.max_delay_ms = 0.5;
   options.cache_capacity = 0;
@@ -457,26 +481,26 @@ TEST_F(GeoServiceTest, HotReloadCorruptCheckpointRollsBack) {
   auto old_model = service->model();
   core::EdgePrediction before = service->Predict((*texts_)[0]).prediction;
 
-  std::stringstream corrupt(checkpoint_->substr(0, checkpoint_->size() / 3));
-  Status status = service->ReloadCheckpoint(&corrupt);
+  std::string torn =
+      WriteTemp(checkpoint_->substr(0, checkpoint_->size() / 3), "serve_reload_torn.edge");
+  Status status = service->ReloadFromFile(torn);
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(service->model_generation(), 1u);
   EXPECT_EQ(service->model().get(), old_model.get());
   ExpectBitwiseEqual(service->Predict((*texts_)[0]).prediction, before);
 
-  std::stringstream garbage("not a checkpoint at all");
-  EXPECT_FALSE(service->ReloadCheckpoint(&garbage).ok());
+  std::string garbage = WriteTemp("not a checkpoint at all", "serve_reload_garbage.edge");
+  EXPECT_FALSE(service->ReloadFromFile(garbage).ok());
+  EXPECT_FALSE(service->Reload(nullptr).ok());
+  EXPECT_EQ(service->model_generation(), 1u);
   ExpectBitwiseEqual(service->Predict((*texts_)[0]).prediction, before);
+  std::filesystem::remove(torn);
+  std::filesystem::remove(garbage);
 }
 
 TEST_F(GeoServiceTest, ReloadFromFileRetriesTransientReadFaults) {
   fault::Disarm();
-  std::string path = ::testing::TempDir() + "/serve_reload_model.edge";
-  {
-    std::ofstream out(path);
-    out << *checkpoint2_;
-    ASSERT_TRUE(out.good());
-  }
+  std::string path = WriteTemp(*checkpoint2_, "serve_reload_model.edge");
   GeoServiceOptions options;
   options.max_delay_ms = 0.5;
   std::unique_ptr<GeoService> service = MakeService(options);
@@ -492,6 +516,37 @@ TEST_F(GeoServiceTest, ReloadFromFileRetriesTransientReadFaults) {
   EXPECT_EQ(service->model_generation(), 2u);
 }
 
+// A reload takes effect exactly between the requests submitted before and
+// after it, however fast the swap: requests still queued when it lands are
+// answered by the model they were submitted under.
+TEST_F(GeoServiceTest, ReloadSplitsQueuedRequestsBySubmissionModel) {
+  GeoServiceOptions options;
+  options.max_delay_ms = 0.5;
+  options.max_batch = 32;
+  options.cache_capacity = 0;
+  std::unique_ptr<GeoService> service = MakeService(options);
+  auto old_model = service->model();
+  service->PauseWorkersForTest();
+  std::vector<std::future<ServeResponse>> before, after;
+  for (size_t i = 0; i < 8; ++i) before.push_back(service->SubmitAsync((*texts_)[i]));
+  ASSERT_TRUE(service->Reload(LoadModel(*checkpoint2_)).ok());
+  auto new_model = service->model();
+  for (size_t i = 0; i < 8; ++i) after.push_back(service->SubmitAsync((*texts_)[i]));
+  service->ResumeWorkers();
+  text::TweetNer ner(*gazetteer_);
+  for (size_t i = 0; i < 8; ++i) {
+    data::ProcessedTweet tweet;
+    tweet.text = (*texts_)[i];
+    tweet.entities = ner.Extract(tweet.text);
+    ServeResponse old_answer = before[i].get();
+    ServeResponse new_answer = after[i].get();
+    EXPECT_EQ(old_answer.model.get(), old_model.get()) << i;
+    EXPECT_EQ(new_answer.model.get(), new_model.get()) << i;
+    ExpectBitwiseEqual(old_answer.prediction, old_model->Predict(tweet));
+    ExpectBitwiseEqual(new_answer.prediction, fitted2_->Predict(tweet));
+  }
+}
+
 // In-flight responses carry the model that produced them, so a renderer
 // never pairs a prediction with the wrong projection across a swap.
 TEST_F(GeoServiceTest, ResponsesCarryTheProducingModel) {
@@ -503,43 +558,22 @@ TEST_F(GeoServiceTest, ResponsesCarryTheProducingModel) {
   ASSERT_NE(response.model, nullptr);
   EXPECT_EQ(response.model.get(), service->model().get());
 
-  std::stringstream fresh(*checkpoint2_);
-  ASSERT_TRUE(service->ReloadCheckpoint(&fresh).ok());
+  ASSERT_TRUE(service->Reload(LoadModel(*checkpoint2_)).ok());
   // The old response still renders against its own (retained) model.
   EXPECT_NE(response.model.get(), service->model().get());
   std::string line = ResponseToJsonLine(response, *response.model, "old");
   EXPECT_NE(line.find("\"point\""), std::string::npos);
 }
 
-// --- edge-model.v1 hot reload (model-store tentpole) ----------------------
+// --- Hot reload from edge-model.v1 files ---------------------------------
 
-/// Writes `text_checkpoint` as a binary fp64 edge-model.v1 file and returns
-/// its path.
-std::string WriteBinaryStore(const std::string& text_checkpoint,
-                             const std::string& name) {
-  std::stringstream in(text_checkpoint);
-  auto model = core::EdgeModel::LoadInference(&in);
-  EDGE_CHECK(model.ok()) << model.status().ToString();
-  std::string path = ::testing::TempDir() + "/" + name;
-  Status status = core::SaveModelStoreAtomic(*model.value(),
-                                             core::EmbedPrecision::kFp64, path);
-  EDGE_CHECK(status.ok()) << status.ToString();
-  return path;
-}
-
-// Reloading from a binary store must answer bitwise-identically to reloading
-// from the equivalent text checkpoint, at every worker budget — PR-4's
-// determinism contract is format-independent.
-TEST_F(GeoServiceTest, BinaryReloadMatchesTextReloadBitwise) {
+// Reloading from a store file must answer bitwise what the fitted model
+// answers, at every worker budget and under both verify tiers — PR-4's
+// determinism contract survives the save/mmap/swap chain.
+TEST_F(GeoServiceTest, ReloadMatchesFittedModelBitwise) {
   fault::Disarm();
-  std::string text_path = ::testing::TempDir() + "/binary_parity_model.edge";
-  {
-    std::ofstream out(text_path, std::ios::binary | std::ios::trunc);
-    out << *checkpoint2_;
-    ASSERT_TRUE(out.good());
-  }
-  std::string bin_path = WriteBinaryStore(*checkpoint2_, "binary_parity_model.bin");
-
+  std::string path = WriteTemp(*checkpoint2_, "reload_parity_model.edge");
+  text::TweetNer ner(*gazetteer_);
   for (size_t workers : {size_t{1}, size_t{4}}) {
     GeoServiceOptions options;
     options.max_delay_ms = 0.5;
@@ -548,27 +582,25 @@ TEST_F(GeoServiceTest, BinaryReloadMatchesTextReloadBitwise) {
     // kFast is the O(1) map-and-swap path; parity must hold there too.
     options.model_store_verify = workers == 1 ? core::StoreVerify::kFull
                                               : core::StoreVerify::kFast;
-    std::unique_ptr<GeoService> from_text = MakeService(options);
-    std::unique_ptr<GeoService> from_binary = MakeService(options);
-    ASSERT_TRUE(from_text->ReloadFromFile(text_path).ok());
-    ASSERT_TRUE(from_binary->ReloadFromFile(bin_path).ok());
-    EXPECT_EQ(from_text->model_generation(), 2u);
-    EXPECT_EQ(from_binary->model_generation(), 2u);
+    std::unique_ptr<GeoService> service = MakeService(options);
+    ASSERT_TRUE(service->ReloadFromFile(path).ok());
+    EXPECT_EQ(service->model_generation(), 2u);
     for (size_t i = 0; i < std::min<size_t>(texts_->size(), 24); ++i) {
-      const std::string& text = (*texts_)[i];
-      ExpectBitwiseEqual(from_binary->Predict(text).prediction,
-                         from_text->Predict(text).prediction);
+      data::ProcessedTweet tweet;
+      tweet.text = (*texts_)[i];
+      tweet.entities = ner.Extract(tweet.text);
+      ExpectBitwiseEqual(service->Predict(tweet.text).prediction,
+                         fitted2_->Predict(tweet));
     }
   }
-  std::filesystem::remove(text_path);
-  std::filesystem::remove(bin_path);
+  std::filesystem::remove(path);
 }
 
 // In-flight responses keep rendering on the model that produced them across
-// a binary map-and-swap, exactly as across a text reload.
+// a file map-and-swap, exactly as across an in-memory Reload.
 TEST_F(GeoServiceTest, ResponsesCarryProducingModelAcrossBinaryReload) {
   fault::Disarm();
-  std::string bin_path = WriteBinaryStore(*checkpoint2_, "binary_inflight.bin");
+  std::string bin_path = WriteTemp(*checkpoint2_, "binary_inflight.bin");
   GeoServiceOptions options;
   options.max_delay_ms = 0.5;
   options.cache_capacity = 16;
@@ -592,19 +624,15 @@ TEST_F(GeoServiceTest, ResponsesCarryProducingModelAcrossBinaryReload) {
   std::filesystem::remove(bin_path);
 }
 
-// A corrupt binary store is rejected by the Open gates and the old model
-// keeps serving unchanged — same rollback contract as text checkpoints.
+// A bit-flipped store is rejected by the Open gates and the old model keeps
+// serving unchanged.
 TEST_F(GeoServiceTest, BinaryReloadCorruptStoreRollsBack) {
   fault::Disarm();
-  std::string bin_path = WriteBinaryStore(*checkpoint2_, "binary_corrupt.bin");
-  std::string bytes;
-  ASSERT_TRUE(ReadFileToString(bin_path, &bytes).ok());
+  const std::string& bytes = *checkpoint2_;
   for (size_t flip : {bytes.size() / 3, bytes.size() / 2}) {
     std::string corrupt = bytes;
     corrupt[flip] = static_cast<char>(corrupt[flip] ^ 0x20);
-    std::ofstream out(bin_path, std::ios::binary | std::ios::trunc);
-    out << corrupt;
-    out.close();
+    std::string bin_path = WriteTemp(corrupt, "binary_corrupt.bin");
 
     GeoServiceOptions options;
     options.max_delay_ms = 0.5;
@@ -614,16 +642,17 @@ TEST_F(GeoServiceTest, BinaryReloadCorruptStoreRollsBack) {
     EXPECT_FALSE(service->ReloadFromFile(bin_path).ok());
     EXPECT_EQ(service->model_generation(), 1u);
     ExpectBitwiseEqual(service->Predict((*texts_)[0]).prediction, before);
+    std::filesystem::remove(bin_path);
   }
-  std::filesystem::remove(bin_path);
 }
 
 // The response cache is keyed per model generation: after a binary reload a
 // repeated request must be answered by the new model, never the cached old
-// response (ids agree across formats, so this is the gate that protects it).
+// response (ids agree between the two models' vocabularies, so this is the
+// gate that protects it).
 TEST_F(GeoServiceTest, CacheServesNewModelAfterBinaryReload) {
   fault::Disarm();
-  std::string bin_path = WriteBinaryStore(*checkpoint2_, "binary_cachegen.bin");
+  std::string bin_path = WriteTemp(*checkpoint2_, "binary_cachegen.bin");
   GeoServiceOptions options;
   options.max_delay_ms = 0.5;
   options.cache_capacity = 64;
@@ -820,8 +849,7 @@ TEST_F(GeoServiceTest, StatsAndHealthSnapshotsAndJson) {
 
   // A reload shows up as generation 2 / one reload, and uptime keeps
   // counting from construction (a reload is not a restart).
-  std::stringstream fresh(*checkpoint2_);
-  ASSERT_TRUE(service->ReloadCheckpoint(&fresh).ok());
+  ASSERT_TRUE(service->Reload(LoadModel(*checkpoint2_)).ok());
   HealthSnapshot after = service->Health();
   EXPECT_EQ(after.model_generation, 2u);
   EXPECT_EQ(after.reloads, 1u);

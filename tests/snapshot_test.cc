@@ -88,7 +88,7 @@ TEST(SystemSnapshotTest, EntityGraphSectionRoundTripsWithEdgeWeights) {
   for (size_t a = 0; a < snapshot.graph.num_nodes(); ++a) {
     EXPECT_EQ(parsed.value().NodeName(a), snapshot.graph.NodeName(a));
     for (const auto& [b, w] : snapshot.graph.Neighbors(a)) {
-      // Exact weights: this is what EDGE-INFERENCE alone cannot preserve.
+      // Exact weights: the model store carries node names only.
       EXPECT_EQ(parsed.value().EdgeWeight(a, b), w);
     }
   }
@@ -129,8 +129,12 @@ TEST(SystemSnapshotTest, SaveLoadRoundTripsEverySection) {
             SerializeEntityGraph(snapshot.graph));
   EXPECT_EQ(SerializeServeOptions(loaded.value().serve_options),
             SerializeServeOptions(snapshot.serve_options));
-  // The model checkpoint travels as raw bytes — exact, not re-encoded.
-  EXPECT_EQ(loaded.value().model_checkpoint, snapshot.model_checkpoint);
+  // The model travels as raw fp64 store bytes — exact, not re-encoded — and
+  // is a store that passes the full verify tier.
+  EXPECT_EQ(loaded.value().model_store, snapshot.model_store);
+  EXPECT_TRUE(core::MmapModelStore::FromBytes(loaded.value().model_store,
+                                              core::StoreVerify::kFull)
+                  .ok());
   EXPECT_EQ(loaded.value().rng.state, snapshot.rng.state);
   EXPECT_EQ(loaded.value().rng.inc, snapshot.rng.inc);
   EXPECT_EQ(loaded.value().has_train_state, snapshot.has_train_state);
@@ -201,8 +205,7 @@ TEST(SystemSnapshotTest, SectionTruncationsAndBitFlipsAreRejected) {
   std::string dir = TempDir("snapshot_section_fuzz");
   ASSERT_TRUE(SaveSystemSnapshot(Fixture(), dir).ok());
   const char* sections[] = {"world.section", "rng.section",   "vocab.section",
-                            "graph.section", "model.section", "serve.section",
-                            "modelbin.section"};
+                            "graph.section", "model.section", "serve.section"};
   for (const char* section : sections) {
     std::string path = dir + "/" + std::string(section);
     std::string bytes;
@@ -238,7 +241,7 @@ TEST(SystemSnapshotTest, SectionTruncationsAndBitFlipsAreRejected) {
 
 TEST(SystemSnapshotTest, ModelBinSectionRoundTripsAndValidates) {
   const SystemSnapshot& snapshot = Fixture();
-  // Capture embeds the fp64 binary store alongside the text checkpoint.
+  // Capture embeds the fp64 binary store; it is the model section itself.
   ASSERT_FALSE(snapshot.model_store.empty());
   auto store = core::MmapModelStore::FromBytes(snapshot.model_store,
                                                core::StoreVerify::kFull);
@@ -246,33 +249,49 @@ TEST(SystemSnapshotTest, ModelBinSectionRoundTripsAndValidates) {
 
   std::string dir = TempDir("snapshot_modelbin");
   ASSERT_TRUE(SaveSystemSnapshot(snapshot, dir).ok());
-  Result<SystemSnapshot> loaded = LoadSystemSnapshot(dir);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  // Raw bytes, bit-exact — same contract as the text model section.
-  EXPECT_EQ(loaded.value().model_store, snapshot.model_store);
-}
-
-TEST(SystemSnapshotTest, SnapshotWithoutModelBinStillLoads) {
-  // Pre-PR-8 snapshots have no modelbin section; they must keep loading.
-  SystemSnapshot snapshot = Fixture();
-  snapshot.model_store.clear();
-  std::string dir = TempDir("snapshot_no_modelbin");
-  ASSERT_TRUE(SaveSystemSnapshot(snapshot, dir).ok());
+  // One file carries the store; the separate modelbin file is gone.
+  EXPECT_TRUE(std::filesystem::exists(dir + "/model.section"));
   EXPECT_FALSE(std::filesystem::exists(dir + "/modelbin.section"));
+  std::string on_disk;
+  ASSERT_TRUE(ReadFileToString(dir + "/model.section", &on_disk).ok());
+  EXPECT_EQ(on_disk, snapshot.model_store);
   Result<SystemSnapshot> loaded = LoadSystemSnapshot(dir);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(loaded.value().model_store.empty());
-  EXPECT_EQ(loaded.value().model_checkpoint, snapshot.model_checkpoint);
+  // Raw bytes, bit-exact, and still a store that passes the full tier.
+  EXPECT_EQ(loaded.value().model_store, snapshot.model_store);
+  EXPECT_TRUE(core::MmapModelStore::FromBytes(loaded.value().model_store,
+                                              core::StoreVerify::kFull)
+                  .ok());
 }
 
-TEST(SystemSnapshotTest, ModelBinVocabularyMismatchIsRejected) {
-  // A modelbin section that is internally valid (every checksum intact) but
+TEST(SystemSnapshotTest, V1ManifestIsRejected) {
+  // A v1 snapshot carried a text model section no loader reads any more; its
+  // manifest (otherwise intact, checksum resealed) must be refused with a
+  // Status that names the version.
+  std::string dir = TempDir("snapshot_v1_manifest");
+  ASSERT_TRUE(SaveSystemSnapshot(Fixture(), dir).ok());
+  std::string manifest;
+  ASSERT_TRUE(ReadFileToString(dir + "/MANIFEST", &manifest).ok());
+  ASSERT_EQ(manifest.rfind("EDGE-SNAPSHOT v2\n", 0), 0u);
+  std::string body = "EDGE-SNAPSHOT v1\n" +
+                     manifest.substr(17, manifest.rfind("END ") - 17);
+  ASSERT_TRUE(WriteFileAtomic(dir + "/MANIFEST",
+                              body + "END " + ToHex16(Fnv1a64(body)) + "\n")
+                  .ok());
+  Result<SystemSnapshot> loaded = LoadSystemSnapshot(dir);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().ToString().find("version 'v1'"), std::string::npos)
+      << loaded.status().ToString();
+}
+
+TEST(SystemSnapshotTest, ModelVocabularyMismatchIsRejected) {
+  // A model section that is internally valid (every checksum intact) but
   // names a different entity set must fail the name-for-name cross-check
-  // against the model section — mismatched captures are exactly the
+  // against the graph section — mismatched captures are exactly the
   // corruption per-file checksums cannot see. Surgery: rewrite the last
-  // byte of the lexicographically-last vocab name to 0x7f (keeps the sorted
-  // index strictly ordered and every offset unchanged), then re-checksum the
-  // vocab section and the manifest so the store still passes kFull.
+  // byte of the vocab blob (the last node's name) to 0x7f, keeping every
+  // offset unchanged, then re-checksum the vocab section and the manifest
+  // so the store still passes kFull.
   SystemSnapshot doctored = Fixture();
   std::string bytes = doctored.model_store;
   ASSERT_GT(bytes.size(), 128u);
@@ -306,13 +325,6 @@ TEST(SystemSnapshotTest, ModelBinVocabularyMismatchIsRejected) {
   ASSERT_GT(count, 0u);
   ASSERT_GT(blob_bytes, 0u);
   size_t blob_begin = vocab_offset + 16 + (count + 1) * 8;
-  // The blob is in node-id order; the lexicographically-last name ends
-  // wherever its offset entry says, but its *last byte* is enough: find the
-  // max byte position by scanning offsets for the sorted-last name via the
-  // index section is overkill — rewriting the blob's final byte only works
-  // if that name is sorted-last. Instead, bump EVERY name's last byte is
-  // unsafe; so patch the final blob byte AND accept either failure mode
-  // below (cross-check, or a kFull ordering rejection).
   size_t target = blob_begin + blob_bytes - 1;
   bytes[target] = '\x7f';
   // Re-checksum: vocab section FNV lives at entry+24; the manifest trailer
@@ -323,11 +335,12 @@ TEST(SystemSnapshotTest, ModelBinVocabularyMismatchIsRejected) {
             Fnv1a64Bytes(bytes.data() + manifest_offset, section_count * 32));
   doctored.model_store = bytes;
 
-  std::string dir = TempDir("snapshot_modelbin_mismatch");
+  std::string dir = TempDir("snapshot_model_mismatch");
   ASSERT_TRUE(SaveSystemSnapshot(doctored, dir).ok());
   Result<SystemSnapshot> loaded = LoadSystemSnapshot(dir);
   ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().ToString().find("modelbin"), std::string::npos)
+  EXPECT_NE(loaded.status().ToString().find("model and graph sections disagree"),
+            std::string::npos)
       << loaded.status().ToString();
 }
 

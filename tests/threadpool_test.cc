@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "edge/obs/metrics.h"
+
 namespace edge {
 namespace {
 
@@ -38,6 +40,23 @@ TEST(ThreadPoolTest, ExceptionPropagatesThroughFuture) {
   std::atomic<int> ok{0};
   pool.Submit([&ok] { ok = 1; }).get();
   EXPECT_EQ(ok.load(), 1);
+}
+
+TEST(ThreadPoolTest, TaskIsCountedBeforeItsFutureIsReady) {
+  // A caller that waited on a task's future must see the task in the pool's
+  // counters — also when the task threw.
+  obs::Counter* tasks =
+      obs::Registry::Global().GetCounter("edge.common.threadpool.tasks_executed");
+  ThreadPool pool(1);
+  for (int i = 0; i < 2000; ++i) {
+    int64_t before = tasks->value();
+    pool.Submit([] {}).get();
+    ASSERT_EQ(tasks->value(), before + 1) << "iteration " << i;
+  }
+  int64_t before = tasks->value();
+  std::future<void> f = pool.Submit([] { throw std::runtime_error("boom"); });
+  EXPECT_THROW(f.get(), std::runtime_error);
+  EXPECT_EQ(tasks->value(), before + 1);
 }
 
 TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {

@@ -41,35 +41,6 @@ def main():
     root = sys.argv[1] if len(sys.argv) > 1 else "."
 
     store = load(root, "BENCH_model_store.json")
-    rows = []
-    for r in store.get("cold_load", []):
-        speedup = r["text_ms"] / max(r["mmap_fast_ms"], 1e-9)
-        rows.append(
-            (
-                r["entities"],
-                f'{r["text_ms"]:.1f}',
-                f'{r["binary_full_ms"]:.2f}',
-                f'{r["mmap_fast_ms"]:.3f}',
-                f"{speedup:.0f}x",
-                f'{r["text_rss_kib"]} KiB',
-                f'{r["mmap_rss_kib"]} KiB',
-            )
-        )
-    table(
-        "model store: cold load (text parse vs binary verify vs mmap)",
-        ("entities", "text ms", "full ms", "mmap ms", "speedup", "text RSS", "mmap RSS"),
-        rows,
-    )
-
-    rows = []
-    for r in store.get("hot_reload", []):
-        rows.append((r["entities"], r["format"], f'{r["p50_ms"]:.2f}', f'{r["p99_ms"]:.2f}'))
-    table(
-        "model store: GeoService hot reload latency (ms)",
-        ("entities", "format", "p50", "p99"),
-        rows,
-    )
-
     acc = store.get("accuracy", [])
     fp64 = next((r for r in acc if r["precision"] == "fp64"), None)
     rows = []

@@ -8,21 +8,18 @@
 ///             [--epochs N] [--components M] [--threads N]
 ///             [--checkpoint-dir d/] [--checkpoint-every K] [--max-run-epochs N]
 ///       Preprocess (NER + split), train EDGE, report test metrics, save the
-///       inference model. With --checkpoint-dir, training state is saved
+///       inference model as an fp64 edge-model.v1 store (written, read back
+///       and byte-compared). With --checkpoint-dir, training state is saved
 ///       crash-safely every K epochs and an interrupted run resumes exactly
 ///       (bitwise loss history) on restart; SIGINT/SIGTERM finish the current
 ///       epoch, write a final checkpoint and exit 0 (DESIGN.md §12).
 ///   predict   --model model.edge --gazetteer gaz.tsv --text "..."
-///       Load a saved model (text EDGE-INFERENCE or binary edge-model.v1,
-///       sniffed by magic), run the NER on the text and print the predicted
-///       mixture, attention weights and Eq. 14 point estimate.
+///       Load a saved edge-model.v1 store, run the NER on the text and print
+///       the predicted mixture, attention weights and Eq. 14 point estimate.
 ///   convert   --in a --out b [--precision fp64|fp32|fp16|int8]
-///       Convert between the text EDGE-INFERENCE checkpoint and the binary
-///       edge-model.v1 store (direction sniffed from the input's magic).
-///       Text -> binary takes --precision (default fp64); at fp64 the tool
-///       re-reads the written store and verifies the round trip reproduces
-///       the canonical text serialization byte for byte. Binary -> text
-///       always writes the canonical full-precision text form.
+///       Re-encode a store at --precision (default fp64). At fp64 the tool
+///       re-reads the written store and verifies it re-serializes to the
+///       same bytes.
 ///
 /// Observability flags (any subcommand):
 ///   --log-level trace|debug|info|warn|error|off   structured-log threshold
@@ -43,7 +40,6 @@
 #include <string>
 #include <vector>
 
-#include "edge/common/file_util.h"
 #include "edge/core/edge_model.h"
 #include "edge/core/model_store.h"
 #include "edge/data/generator.h"
@@ -94,7 +90,7 @@ int Usage() {
                "                    [--checkpoint-dir d/] [--checkpoint-every K]\n"
                "                    [--max-run-epochs N]\n"
                "  edge_cli predict  --model m.edge --gazetteer g.tsv --text \"...\"\n"
-               "  edge_cli convert  --in ckpt --out ckpt2\n"
+               "  edge_cli convert  --in m.edge --out m2.edge\n"
                "                    [--precision fp64|fp32|fp16|int8]\n"
                "observability (any subcommand):\n"
                "  --log-level trace|debug|info|warn|error|off\n"
@@ -248,8 +244,7 @@ int RunTrain(const Args& args) {
   std::printf("test metrics: mean %.2f km, median %.2f km, @3km %.4f, @5km %.4f\n",
               metrics.mean_km, metrics.median_km, metrics.at_3km, metrics.at_5km);
 
-  std::ofstream model_out(model_path);
-  Status status = model.SaveInference(&model_out);
+  Status status = core::SaveModelStoreAtomic(model, core::EmbedPrecision::kFp64, model_path);
   if (!status.ok()) {
     std::fprintf(stderr, "model save failed: %s\n", status.ToString().c_str());
     return 1;
@@ -264,7 +259,7 @@ int RunPredict(const Args& args) {
   std::string tweet_text = args.Get("text");
   if (model_path.empty() || gaz_path.empty() || tweet_text.empty()) return Usage();
 
-  auto model = core::LoadInferenceAuto(model_path);
+  auto model = core::LoadModelStore(model_path);
   if (!model.ok()) {
     std::fprintf(stderr, "bad model: %s\n", model.status().ToString().c_str());
     return 1;
@@ -306,16 +301,6 @@ int RunPredict(const Args& args) {
   return 0;
 }
 
-/// Renders `model` through the canonical text serializer. Any fitted model —
-/// graph-backed or store-backed — serializes to the same byte stream, which is
-/// what makes the fp64 round-trip check below a bitwise-equality test.
-Result<std::string> CanonicalText(const core::EdgeModel& model) {
-  std::ostringstream out;
-  Status status = model.SaveInference(&out);
-  if (!status.ok()) return status;
-  return out.str();
-}
-
 int RunConvert(const Args& args) {
   std::string in_path = args.Get("in");
   std::string out_path = args.Get("out");
@@ -328,55 +313,34 @@ int RunConvert(const Args& args) {
     return 2;
   }
 
-  bool binary_in = core::LooksLikeModelStore(in_path);
-  auto model = core::LoadInferenceAuto(in_path);
+  auto model = core::LoadModelStore(in_path);
   if (!model.ok()) {
     std::fprintf(stderr, "bad checkpoint %s: %s\n", in_path.c_str(),
                  model.status().ToString().c_str());
     return 1;
   }
-
-  if (binary_in) {
-    // Binary -> text: the canonical interchange form, written atomically.
-    Result<std::string> text = CanonicalText(*model.value());
-    if (!text.ok()) {
-      std::fprintf(stderr, "serialize failed: %s\n",
-                   text.status().ToString().c_str());
-      return 1;
-    }
-    Status status = WriteFileAtomic(out_path, text.value(), "io.checkpoint.write");
-    if (!status.ok()) {
-      std::fprintf(stderr, "write failed: %s\n", status.ToString().c_str());
-      return 1;
-    }
-    std::printf("converted %s (%s, %zu entities) -> text %s\n", in_path.c_str(),
-                core::EmbedPrecisionName(model.value()->store()->precision()),
-                model.value()->num_entities(), out_path.c_str());
-    return 0;
-  }
-
-  // Text -> binary at the requested precision.
   Status status = core::SaveModelStoreAtomic(*model.value(), precision, out_path);
   if (!status.ok()) {
     std::fprintf(stderr, "store write failed: %s\n", status.ToString().c_str());
     return 1;
   }
   if (precision == core::EmbedPrecision::kFp64) {
-    // Full precision must be lossless: re-open what we just wrote and check
-    // the binary model reproduces the input's canonical text byte for byte.
-    Result<std::string> want = CanonicalText(*model.value());
-    auto reread = core::LoadInferenceAuto(out_path);
-    Result<std::string> got = Status::Internal("store re-open failed");
-    if (reread.ok()) got = CanonicalText(*reread.value());
-    if (!want.ok() || !got.ok() || want.value() != got.value()) {
-      std::fprintf(stderr, "round-trip verification FAILED for %s\n",
-                   out_path.c_str());
+    // Full precision must be lossless: the written store, re-opened, must
+    // serialize to exactly the bytes the input model serializes to.
+    std::string want, got;
+    auto reread = core::LoadModelStore(out_path);
+    status = reread.ok() ? core::SerializeModelStore(*reread.value(), precision, &got)
+                         : reread.status();
+    if (status.ok()) status = core::SerializeModelStore(*model.value(), precision, &want);
+    if (!status.ok() || want != got) {
+      std::fprintf(stderr, "round-trip verification FAILED for %s\n", out_path.c_str());
       return 1;
     }
-    std::printf("round-trip verified: binary store reproduces the canonical "
-                "text checkpoint bitwise\n");
+    std::printf("round-trip verified: %s re-serializes to the same bytes\n",
+                out_path.c_str());
   }
-  std::printf("converted %s -> %s store %s (%zu entities)\n", in_path.c_str(),
+  std::printf("converted %s (%s) -> %s store %s (%zu entities)\n", in_path.c_str(),
+              core::EmbedPrecisionName(model.value()->store()->precision()),
               core::EmbedPrecisionName(precision), out_path.c_str(),
               model.value()->num_entities());
   return 0;

@@ -103,6 +103,7 @@
 #include <utility>
 #include <vector>
 
+#include "edge/common/hash.h"
 #include "edge/net/line_server.h"
 #include "edge/net/socket_util.h"
 #include "edge/net/supervisor.h"
@@ -138,17 +139,6 @@ int Usage() {
       "predicts fail over to surviving replicas; --fleet spawns and\n"
       "respawns the replica processes under a flap circuit breaker\n");
   return 2;
-}
-
-/// FNV-1a 64 — stable across runs/platforms, which keeps the ring layout
-/// (and therefore per-replica cache residency) reproducible.
-uint64_t Fnv1a(std::string_view s) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 constexpr char kDegradedError[] =
@@ -302,8 +292,8 @@ class Router {
       Status split =
           net::SplitHostPort(replica.addr, &replica.host, &replica.port);
       if (!split.ok()) return split;
-      uint64_t seed = options_.heal_seed ^ Fnv1a(replica.addr);
-      if (seed == 0) seed = Fnv1a(replica.addr + "#seed");
+      uint64_t seed = options_.heal_seed ^ Fnv1a64(replica.addr);
+      if (seed == 0) seed = Fnv1a64(replica.addr + "#seed");
       if (options_.fleet) {
         Result<int> spawned = net::SpawnProcess(replica.argv);
         if (spawned.ok()) {
@@ -343,7 +333,7 @@ class Router {
     // pure function of the fleet spec, independent of --replicas order.
     for (size_t r = 0; r < replicas_.size(); ++r) {
       for (size_t v = 0; v < options_.vnodes; ++v) {
-        ring_[Fnv1a(replicas_[r].addr + "#" + std::to_string(v))] = r;
+        ring_[Fnv1a64(replicas_[r].addr + "#" + std::to_string(v))] = r;
       }
     }
     return Status::Ok();
@@ -618,7 +608,7 @@ class Router {
   /// point.
   Replica* HashPick(const std::string& key) {
     if (ring_.empty()) return nullptr;
-    auto it = ring_.lower_bound(Fnv1a(key));
+    auto it = ring_.lower_bound(Fnv1a64(key));
     for (size_t steps = 0; steps < ring_.size(); ++steps) {
       if (it == ring_.end()) it = ring_.begin();
       if (replicas_[it->second].sup->TakesTraffic()) {

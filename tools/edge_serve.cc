@@ -12,8 +12,8 @@
 ///   edge_serve --model m.edge --gazetteer g.tsv --listen 7070   # TCP mode
 ///
 /// Flags:
-///   --model m.edge          checkpoint, text EDGE-INFERENCE or binary
-///                           edge-model.v1, sniffed by magic (required)
+///   --model m.edge          edge-model.v1 store from `edge_cli train` or
+///                           `edge_cli convert` (required)
 ///   --gazetteer g.tsv       NER dictionary (required)
 ///   --listen PORT           serve LDJSON over TCP instead of stdin/stdout;
 ///                           PORT 0 binds an ephemeral port. The bound
@@ -25,8 +25,8 @@
 ///                           function of the request stream (default false)
 ///   --max-line-bytes N      reject request lines longer than this (TCP
 ///                           framing; default 1 MiB)
-///   --store-verify full|fast  binary-store validation depth (default full;
-///                           fast makes binary hot reload O(1) map-and-swap)
+///   --store-verify full|fast  store validation depth (default full; fast
+///                           makes hot reload an O(1) map-and-swap)
 ///   --max-batch N           micro-batch flush size            (default 16)
 ///   --max-delay-ms D        micro-batch flush age             (default 2)
 ///   --workers N             batch worker threads              (default 1)
@@ -365,9 +365,8 @@ int main(int argc, char** argv) {
   // Strict flag parsing: GetInt/GetDouble flag malformed values on the Args.
   if (!args.ok()) return Usage();
 
-  // The initial load goes through the same sniffing path as hot reload, so
-  // --model accepts either checkpoint format.
-  auto model = core::LoadInferenceAuto(model_path, options.model_store_verify);
+  // The initial load verifies at the same depth as hot reload.
+  auto model = core::LoadModelStore(model_path, options.model_store_verify);
   if (!model.ok()) {
     std::fprintf(stderr, "cannot load %s: %s\n", model_path.c_str(),
                  model.status().ToString().c_str());
