@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <span>
 
 #include "edge/common/file_util.h"
 #include "edge/common/math_util.h"
@@ -384,27 +385,22 @@ void EdgeModel::Fit(const data::ProcessedDataset& dataset) {
       nn::Var x = nn::Constant(features);
       nn::Var h = gcn.Forward(&normalized_adjacency_, x);
 
-      std::vector<nn::Var> tweet_vectors;
-      tweet_vectors.reserve(batch);
+      std::vector<std::span<const size_t>> batch_ids;
+      batch_ids.reserve(batch);
       nn::Matrix batch_targets(batch, 2);
       for (size_t b = 0; b < batch; ++b) {
         size_t tweet = order[start + b];
-        nn::Var hk = nn::GatherRows(h, tweet_ids[tweet]);
-        nn::Var z;
-        if (config_.use_attention) {
-          nn::Var scores = nn::Relu(nn::AddRowBroadcast(nn::MatMul(hk, attn_q), attn_b));
-          nn::Var weights = nn::SoftmaxCol(scores);
-          z = nn::TransposedMatMul(weights, hk);
-        } else {
-          z = nn::MatMul(nn::Constant(nn::Matrix::Constant(1, tweet_ids[tweet].size(), 1.0)),
-                         hk);
-        }
-        tweet_vectors.push_back(z);
+        batch_ids.emplace_back(tweet_ids[tweet]);
         batch_targets.At(b, 0) = targets[tweet].x;
         batch_targets.At(b, 1) = targets[tweet].y;
       }
+      // Eq. 2-4 for the whole batch in one tape node (sum pooling for the
+      // SUM ablation); tweet_ids outlives every step's tape.
+      nn::Var z_batch =
+          config_.use_attention
+              ? nn::AttentionPool(h, std::move(batch_ids), attn_q, attn_b)
+              : nn::AttentionPool(h, std::move(batch_ids), nullptr, nullptr);
       EDGE_TRACE_SPAN("edge.core.fit.mdn_head");
-      nn::Var z_batch = nn::ConcatRows(tweet_vectors);
       nn::Var theta = nn::AddRowBroadcast(nn::MatMul(z_batch, head_w), head_b);
       nn::Var loss = nn::BivariateMdnLoss(theta, batch_targets, mdn_options);
       nn::Backward(loss);

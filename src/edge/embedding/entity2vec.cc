@@ -49,12 +49,13 @@ void Entity2Vec::Train(const std::vector<std::vector<std::string>>& corpus) {
   }
 
   // Negative-sampling CDF over unigram^0.75 (word2vec's noise distribution).
-  negative_cdf_.resize(vocab_.size());
+  std::vector<double> negative_cdf(vocab_.size());
   double cumulative = 0.0;
   for (size_t i = 0; i < vocab_.size(); ++i) {
     cumulative += std::pow(static_cast<double>(vocab_.CountOf(i)), 0.75);
-    negative_cdf_[i] = cumulative;
+    negative_cdf[i] = cumulative;
   }
+  negative_table_ = CdfGuideTable(std::move(negative_cdf));
 
   // Convert the corpus to id sequences once.
   std::vector<std::vector<size_t>> id_corpus;
@@ -134,7 +135,10 @@ void Entity2Vec::TrainRange(const std::vector<std::vector<size_t>>& id_corpus,
   int64_t processed = 0;
   // Scratch reused across every sentence and pair in this block; TrainPair
   // and the subsampling filter never touch the heap in steady state.
-  std::vector<double> u_grad(options_.dim, 0.0);
+  PairScratch scratch;
+  scratch.u_grad.resize(options_.dim);
+  scratch.rows.resize(1 + options_.negatives);
+  scratch.dots.resize(1 + options_.negatives);
   std::vector<size_t> kept;
   for (int epoch = 0; epoch < options_.epochs; ++epoch) {
     for (size_t sentence = begin; sentence < end; ++sentence) {
@@ -165,44 +169,117 @@ void Entity2Vec::TrainRange(const std::vector<std::vector<size_t>>& id_corpus,
         size_t hi = std::min(kept.size(), pos + span + 1);
         for (size_t ctx = lo; ctx < hi; ++ctx) {
           if (ctx == pos) continue;
-          TrainPair(kept[pos], kept[ctx], lr, rng, &u_grad);
+          TrainPair(kept[pos], kept[ctx], lr, rng, &scratch);
         }
       }
     }
   }
 }
 
-size_t Entity2Vec::SampleNegative(Rng* rng) const {
-  double target = rng->Uniform() * negative_cdf_.back();
-  auto it = std::lower_bound(negative_cdf_.begin(), negative_cdf_.end(), target);
-  return static_cast<size_t>(it - negative_cdf_.begin());
+CdfGuideTable::CdfGuideTable(std::vector<double> cdf) : cdf_(std::move(cdf)) {
+  if (cdf_.empty()) return;
+  // Two buckets per entry keep the expected scan near one step even where
+  // many light tokens share a bucket's width of cumulative weight.
+  const size_t buckets = 2 * cdf_.size();
+  scale_ = cdf_.back() > 0.0 ? static_cast<double>(buckets) / cdf_.back() : 0.0;
+  guide_.resize(buckets);
+  size_t i = 0;
+  for (size_t b = 0; b < buckets; ++b) {
+    while (i < cdf_.size() && Bucket(cdf_[i]) < b) ++i;
+    guide_[b] = i;
+  }
 }
 
+size_t CdfGuideTable::Bucket(double target) const {
+  double x = target * scale_;
+  if (!(x > 0.0)) return 0;  // Also NaN, which lower_bound answers with 0.
+  if (x >= static_cast<double>(guide_.size())) return guide_.size() - 1;
+  return static_cast<size_t>(x);
+}
+
+size_t CdfGuideTable::Find(double target) const {
+  if (cdf_.empty()) return 0;
+  // Every index below guide_[b] has a smaller bucket than `target`, so (the
+  // bucket being monotone) a smaller cumulative weight: the scan starts at or
+  // before lower_bound's answer and stops exactly on it.
+  size_t i = guide_[Bucket(target)];
+  while (i < cdf_.size() && cdf_[i] < target) ++i;
+  return i;
+}
+
+size_t Entity2Vec::SampleNegative(Rng* rng) const {
+  return negative_table_.Find(rng->Uniform() * negative_table_.total());
+}
+
+namespace {
+
+/// out[j] = u . v[j] for N rows at once: N independent chains, each summed
+/// in ascending d from 0.0 exactly as a lone dot loop would, so the values
+/// are bitwise those of N separate loops while their add latencies overlap.
+template <size_t N>
+void DotsInto(const double* EDGE_RESTRICT u, const double* const* v, size_t dim,
+              double* out) {
+  double z[N] = {};
+  for (size_t d = 0; d < dim; ++d) {
+    const double ud = u[d];
+    for (size_t j = 0; j < N; ++j) z[j] += ud * v[j][d];
+  }
+  for (size_t j = 0; j < N; ++j) out[j] = z[j];
+}
+
+void Dots(const double* u, const double* const* v, size_t count, size_t dim,
+          double* out) {
+  for (; count >= 8; count -= 8, v += 8, out += 8) DotsInto<8>(u, v, dim, out);
+  switch (count) {
+    case 7: return DotsInto<7>(u, v, dim, out);
+    case 6: return DotsInto<6>(u, v, dim, out);
+    case 5: return DotsInto<5>(u, v, dim, out);
+    case 4: return DotsInto<4>(u, v, dim, out);
+    case 3: return DotsInto<3>(u, v, dim, out);
+    case 2: return DotsInto<2>(u, v, dim, out);
+    case 1: return DotsInto<1>(u, v, dim, out);
+    default: return;
+  }
+}
+
+}  // namespace
+
 void Entity2Vec::TrainPair(size_t center, size_t context, double lr, Rng* rng,
-                           std::vector<double>* u_grad) {
+                           PairScratch* scratch) {
   const size_t dim = options_.dim;
   double* EDGE_RESTRICT u = input_.row_data(center);
-  double* EDGE_RESTRICT grad = u_grad->data();
+  double* EDGE_RESTRICT grad = scratch->u_grad.data();
   std::fill(grad, grad + dim, 0.0);
+
+  // The context's row, then the row of every negative that is not the
+  // context, in draw order. Updates consume no randomness, so drawing the
+  // negatives up front leaves the Rng stream exactly as the interleaved
+  // draw-then-update loop did.
+  double** rows = scratch->rows.data();
+  size_t count = 0;
+  rows[count++] = output_.row_data(context);
+  for (size_t n = 0; n < options_.negatives; ++n) {
+    size_t neg = SampleNegative(rng);
+    if (neg != context) rows[count++] = output_.row_data(neg);
+  }
+
+  // u stays fixed until the pair ends and each v row changes only at its own
+  // update, so every dot can be taken before any update runs, as independent
+  // chains. A target drawn a second time recomputes its dot just before its
+  // own update, so it sees the earlier occurrence's write.
+  double* dots = scratch->dots.data();
+  Dots(u, rows, count, dim, dots);
 
   // u lives in input_, v in output_ and grad in caller scratch, so the three
   // restrict-qualified pointers never alias and both loops vectorize cleanly.
-  auto update = [&](size_t target, double label) {
-    double* EDGE_RESTRICT v = output_.row_data(target);
-    double z = 0.0;
-    for (size_t d = 0; d < dim; ++d) z += u[d] * v[d];
-    double g = (Sigmoid(z) - label) * lr;
+  for (size_t j = 0; j < count; ++j) {
+    double* EDGE_RESTRICT v = rows[j];
+    if (std::find(rows, rows + j, v) != rows + j) Dots(u, &rows[j], 1, dim, &dots[j]);
+    double g = (Sigmoid(dots[j]) - (j == 0 ? 1.0 : 0.0)) * lr;
     for (size_t d = 0; d < dim; ++d) {
       grad[d] += g * v[d];
       v[d] -= g * u[d];
     }
-  };
-
-  update(context, 1.0);
-  for (size_t n = 0; n < options_.negatives; ++n) {
-    size_t neg = SampleNegative(rng);
-    if (neg == context) continue;
-    update(neg, 0.0);
   }
   for (size_t d = 0; d < dim; ++d) u[d] -= grad[d];
 }

@@ -40,6 +40,31 @@ struct Entity2VecOptions {
   bool deterministic = true;
 };
 
+/// Exact inverse-CDF lookup over a non-decreasing cumulative weight table
+/// (entity2vec's unigram^0.75 noise distribution). Find(t) returns the first
+/// index whose cumulative weight is >= t — std::lower_bound's answer for
+/// every t — without a binary search: a guide table maps t's bucket to the
+/// first index that can answer it, and a short scan finishes exactly.
+class CdfGuideTable {
+ public:
+  CdfGuideTable() = default;
+  explicit CdfGuideTable(std::vector<double> cdf);
+
+  size_t Find(double target) const;
+  /// Last cumulative weight (the table's total mass); 0 when empty.
+  double total() const { return cdf_.empty() ? 0.0 : cdf_.back(); }
+
+ private:
+  /// Monotone non-decreasing in `target`, which is what makes the guide
+  /// entry a lower bound on the answer.
+  size_t Bucket(double target) const;
+
+  std::vector<double> cdf_;
+  /// guide_[b] = first index i with Bucket(cdf_[i]) >= b.
+  std::vector<size_t> guide_;
+  double scale_ = 0.0;  ///< Buckets per unit of cumulative weight.
+};
+
 /// entity2vec (§III-A1): word2vec skip-gram with negative sampling, trained
 /// on tweets whose named entities were pre-joined into single tokens (by the
 /// NER spans and the PhraseDetector), so each entity gets one embedding that
@@ -72,11 +97,18 @@ class Entity2Vec {
   const Entity2VecOptions& options() const { return options_; }
 
  private:
+  /// Caller-owned buffers of one TrainPair call, sized once per block so the
+  /// inner trainer never allocates: the center's gradient (dim) and the
+  /// pair's target rows of output_ and their dot products (1 + negatives).
+  struct PairScratch {
+    std::vector<double> u_grad;
+    std::vector<double*> rows;
+    std::vector<double> dots;
+  };
+
   size_t SampleNegative(Rng* rng) const;
-  /// `u_grad` is caller-owned scratch of length dim (hoisted out of the pair
-  /// loop so the inner trainer never allocates); overwritten on entry.
   void TrainPair(size_t center, size_t context, double lr, Rng* rng,
-                 std::vector<double>* u_grad);
+                 PairScratch* scratch);
   /// Runs the epoch loop over the contiguous sentence block [begin, end) of
   /// `id_corpus`, decaying the learning rate against `planned_tokens` (the
   /// block's token count times epochs). The serial path trains the whole
@@ -88,7 +120,7 @@ class Entity2Vec {
   text::Vocabulary vocab_;
   nn::Matrix input_;    // "u" vectors.
   nn::Matrix output_;   // "v" context vectors.
-  std::vector<double> negative_cdf_;  // Cumulative unigram^0.75.
+  CdfGuideTable negative_table_;  // Cumulative unigram^0.75.
   bool trained_ = false;
 };
 

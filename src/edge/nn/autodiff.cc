@@ -86,17 +86,6 @@ Var MatMul(const Var& a, const Var& b) {
   });
 }
 
-Var TransposedMatMul(const Var& a, const Var& b) {
-  Matrix value = MatMulTransposeA(a->value, b->value);
-  return MakeOpNode(std::move(value), {a, b}, [](Node* n) {
-    Node* pa = n->parents[0].get();
-    Node* pb = n->parents[1].get();
-    // z = A^T B: dA = B * dZ^T ; dB = A * dZ.
-    if (pa->requires_grad) pa->grad.AddInPlace(MatMulTransposeB(pb->value, n->grad));
-    if (pb->requires_grad) pb->grad.AddInPlace(MatMul(pa->value, n->grad));
-  });
-}
-
 Var AddRowBroadcast(const Var& x, const Var& bias) {
   EDGE_CHECK_EQ(bias->value.rows(), 1u);
   EDGE_CHECK_EQ(bias->value.cols(), x->value.cols());
@@ -156,25 +145,6 @@ Var SpMm(const CsrMatrix* sparse, const Var& x) {
   });
 }
 
-Var GatherRows(const Var& x, std::vector<size_t> indices) {
-  Matrix value(indices.size(), x->value.cols());
-  const size_t cols = value.cols();
-  for (size_t i = 0; i < indices.size(); ++i) {
-    EDGE_CHECK_LT(indices[i], x->value.rows());
-    ConstRowSpan src = x->value.RowSpan(indices[i]);
-    std::copy(src.begin(), src.end(), value.row_data(i));
-  }
-  return MakeOpNode(std::move(value), {x}, [indices = std::move(indices), cols](Node* n) {
-    Node* p = n->parents[0].get();
-    if (!p->requires_grad) return;
-    for (size_t i = 0; i < indices.size(); ++i) {
-      const double* EDGE_RESTRICT grow = n->grad.row_data(i);
-      double* EDGE_RESTRICT prow = p->grad.row_data(indices[i]);
-      for (size_t c = 0; c < cols; ++c) prow[c] += grow[c];
-    }
-  });
-}
-
 Var Transpose(const Var& x) {
   return MakeOpNode(x->value.Transposed(), {x}, [](Node* n) {
     Node* p = n->parents[0].get();
@@ -182,30 +152,146 @@ Var Transpose(const Var& x) {
   });
 }
 
-Var SoftmaxCol(const Var& x) {
-  EDGE_CHECK_EQ(x->value.cols(), 1u);
-  EDGE_CHECK_GT(x->value.rows(), 0u);
-  Matrix value = x->value;
-  double max_v = value.At(0, 0);
-  for (size_t r = 1; r < value.rows(); ++r) max_v = std::max(max_v, value.At(r, 0));
-  double sum = 0.0;
-  for (size_t r = 0; r < value.rows(); ++r) {
-    value.At(r, 0) = std::exp(value.At(r, 0) - max_v);
-    sum += value.At(r, 0);
+Var AttentionPool(const Var& h, std::vector<std::span<const size_t>> ids_per_row,
+                  const Var& q, const Var& b) {
+  EDGE_CHECK(h != nullptr);
+  EDGE_CHECK((q == nullptr) == (b == nullptr)) << "AttentionPool: q and b come together";
+  EDGE_CHECK(!ids_per_row.empty());
+  const size_t cols = h->value.cols();
+  size_t total = 0;
+  for (std::span<const size_t> ids : ids_per_row) {
+    EDGE_CHECK(!ids.empty());
+    for (size_t id : ids) EDGE_CHECK_LT(id, h->value.rows());
+    total += ids.size();
   }
-  for (size_t r = 0; r < value.rows(); ++r) value.At(r, 0) /= sum;
-  return MakeOpNode(std::move(value), {x}, [](Node* n) {
-    Node* p = n->parents[0].get();
-    if (!p->requires_grad) return;
-    // dx_i = y_i * (g_i - sum_j g_j y_j).
-    double dot = 0.0;
-    for (size_t r = 0; r < n->value.rows(); ++r) {
-      dot += n->grad.At(r, 0) * n->value.At(r, 0);
+  Matrix value(ids_per_row.size(), cols);
+
+  if (q == nullptr) {
+    for (size_t i = 0; i < ids_per_row.size(); ++i) {
+      double* EDGE_RESTRICT out = value.row_data(i);
+      for (size_t id : ids_per_row[i]) {
+        const double* EDGE_RESTRICT hk = h->value.row_data(id);
+        for (size_t c = 0; c < cols; ++c) out[c] += hk[c];
+      }
     }
-    for (size_t r = 0; r < n->value.rows(); ++r) {
-      p->grad.At(r, 0) += n->value.At(r, 0) * (n->grad.At(r, 0) - dot);
+    return MakeOpNode(std::move(value), {h},
+                      [ids_per_row = std::move(ids_per_row), cols](Node* n) {
+                        Node* ph = n->parents[0].get();
+                        for (size_t i = ids_per_row.size(); i-- > 0;) {
+                          const double* EDGE_RESTRICT g = n->grad.row_data(i);
+                          for (size_t id : ids_per_row[i]) {
+                            double* EDGE_RESTRICT hg = ph->grad.row_data(id);
+                            // "0.0 +" replays accumulation into a freshly
+                            // zeroed gradient (-0.0 becomes +0.0).
+                            for (size_t c = 0; c < cols; ++c) hg[c] += 0.0 + g[c];
+                          }
+                        }
+                      });
+  }
+
+  EDGE_CHECK(q->value.rows() == cols && q->value.cols() == 1);
+  EDGE_CHECK(b->value.rows() == 1 && b->value.cols() == 1);
+  // Per (row, k): the biased score before ReLU, whose sign routes the
+  // backward pass, and the softmax weight.
+  Matrix scores(total, 1);
+  Matrix weights(total, 1);
+  const double* qv = q->value.data();
+  const double bias = b->value.At(0, 0);
+  size_t offset = 0;
+  for (size_t i = 0; i < ids_per_row.size(); ++i) {
+    std::span<const size_t> ids = ids_per_row[i];
+    const size_t k_count = ids.size();
+    double* a = scores.data() + offset;
+    double* w = weights.data() + offset;
+    offset += k_count;
+    for (size_t k = 0; k < k_count; ++k) {
+      const double* hk = h->value.row_data(ids[k]);
+      double dot = 0.0;
+      for (size_t c = 0; c < cols; ++c) dot += hk[c] * qv[c];
+      a[k] = dot + bias;
+      w[k] = a[k] < 0.0 ? 0.0 : a[k];
     }
-  });
+    double max_v = w[0];
+    for (size_t k = 1; k < k_count; ++k) max_v = std::max(max_v, w[k]);
+    double sum = 0.0;
+    for (size_t k = 0; k < k_count; ++k) {
+      w[k] = std::exp(w[k] - max_v);
+      sum += w[k];
+    }
+    for (size_t k = 0; k < k_count; ++k) w[k] /= sum;
+    double* EDGE_RESTRICT out = value.row_data(i);
+    for (size_t k = 0; k < k_count; ++k) {
+      const double* EDGE_RESTRICT hk = h->value.row_data(ids[k]);
+      const double wk = w[k];
+      for (size_t c = 0; c < cols; ++c) out[c] += wk * hk[c];
+    }
+  }
+
+  return MakeOpNode(
+      std::move(value), {h, q, b},
+      [ids_per_row = std::move(ids_per_row), scores = std::move(scores),
+       weights = std::move(weights), cols](Node* n) {
+        Node* ph = n->parents[0].get();
+        Node* pq = n->parents[1].get();
+        Node* pb = n->parents[2].get();
+        // Row 0: the pooled row's gradient. Row 1: its q-gradient partial sum.
+        Matrix scratch(2, cols);
+        double* EDGE_RESTRICT dz = scratch.row_data(0);
+        double* EDGE_RESTRICT dq = scratch.row_data(1);
+        Matrix score_grad(scores.rows(), 1);
+        size_t offset = scores.rows();
+        for (size_t i = ids_per_row.size(); i-- > 0;) {
+          std::span<const size_t> ids = ids_per_row[i];
+          const size_t k_count = ids.size();
+          offset -= k_count;
+          const double* a = scores.data() + offset;
+          const double* w = weights.data() + offset;
+          double* ds = score_grad.data() + offset;
+          // "0.0 +" replays accumulation into a freshly zeroed gradient,
+          // which turns -0.0 into +0.0 exactly as the per-row tape did.
+          const double* EDGE_RESTRICT g = n->grad.row_data(i);
+          for (size_t c = 0; c < cols; ++c) dz[c] = 0.0 + g[c];
+          // Weighted-sum backward into the weights, then softmax, ReLU and
+          // bias backward: ds ends as the gradient of the biased score.
+          for (size_t k = 0; k < k_count; ++k) {
+            const double* hk = ph->value.row_data(ids[k]);
+            double gw = 0.0;
+            for (size_t c = 0; c < cols; ++c) gw += hk[c] * dz[c];
+            ds[k] = gw;
+          }
+          double dot = 0.0;
+          for (size_t k = 0; k < k_count; ++k) dot += ds[k] * w[k];
+          for (size_t k = 0; k < k_count; ++k) {
+            double relu_grad = 0.0 + w[k] * (ds[k] - dot);
+            ds[k] = a[k] > 0.0 ? 0.0 + relu_grad : 0.0;
+          }
+          if (pb->requires_grad) {
+            double* acc = pb->grad.data();
+            for (size_t k = 0; k < k_count; ++k) acc[0] += ds[k];
+          }
+          const double* EDGE_RESTRICT qv = pq->value.data();
+          if (ph->requires_grad) {
+            for (size_t k = 0; k < k_count; ++k) {
+              double* EDGE_RESTRICT hg = ph->grad.row_data(ids[k]);
+              const double wk = w[k];
+              const double dsk = ds[k];
+              for (size_t c = 0; c < cols; ++c) {
+                hg[c] += (0.0 + wk * dz[c]) + (0.0 + dsk * qv[c]);
+              }
+            }
+          }
+          if (pq->requires_grad) {
+            std::fill(dq, dq + cols, 0.0);
+            for (size_t k = 0; k < k_count; ++k) {
+              const double* EDGE_RESTRICT hk = ph->value.row_data(ids[k]);
+              const double dsk = ds[k];
+              for (size_t c = 0; c < cols; ++c) dq[c] += hk[c] * dsk;
+            }
+            double* EDGE_RESTRICT qg = pq->grad.data();
+            for (size_t c = 0; c < cols; ++c) qg[c] += dq[c];
+          }
+        }
+      });
 }
 
 Var ConcatRows(const std::vector<Var>& rows) {

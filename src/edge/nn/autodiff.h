@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "edge/nn/matrix.h"
@@ -62,10 +63,6 @@ Var Scale(const Var& a, double s);
 Var Mul(const Var& a, const Var& b);
 /// z = a * b (matrix product).
 Var MatMul(const Var& a, const Var& b);
-/// z = a^T * b without putting a transpose copy on the tape (the attention
-/// pooling step z = w^T H). Forward and backward both run through the
-/// transpose-free blocked kernels.
-Var TransposedMatMul(const Var& a, const Var& b);
 /// z = x + 1 * bias broadcast over rows; x is R x C, bias is 1 x C.
 Var AddRowBroadcast(const Var& x, const Var& bias);
 /// Elementwise max(x, 0).
@@ -73,13 +70,20 @@ Var Relu(const Var& x);
 /// z = S * x for a constant sparse S (the GCN propagation step). `sparse`
 /// must outlive the tape; it is owned by the caller (the entity graph).
 Var SpMm(const CsrMatrix* sparse, const Var& x);
-/// Selects rows of x by index (duplicates allowed); backward scatter-adds.
-Var GatherRows(const Var& x, std::vector<size_t> indices);
 /// Matrix transpose.
 Var Transpose(const Var& x);
-/// Softmax over the single column of a K x 1 matrix (attention weights,
-/// Eq. 3).
-Var SoftmaxCol(const Var& x);
+/// Attention pooling of a batch (Eq. 2-4), one tape node for all rows: row i
+/// of the B x C result pools the rows of h (N x C) named by ids_per_row[i]
+/// (non-empty; repeats allowed) with weights softmax(relu(h_k . q + b)) over
+/// k. q is C x 1 and b is 1 x 1; with both null the row is the plain sum of
+/// the named rows (the SUM ablation). Every forward value and gradient is
+/// bitwise that of the per-row composition it replaces (gather, q-product,
+/// bias, ReLU, column softmax, weighted sum, row concat): each sum keeps its
+/// operands and their order, and backward visits rows last to first as the
+/// tape visited those per-row chains (DESIGN.md §10). The id spans are
+/// borrowed: their owner must outlive the tape, as for SpMm.
+Var AttentionPool(const Var& h, std::vector<std::span<const size_t>> ids_per_row,
+                  const Var& q, const Var& b);
 /// Stacks 1 x C rows into an N x C matrix (tweet embeddings into a batch).
 Var ConcatRows(const std::vector<Var>& rows);
 /// 1 x 1 sum of all elements.

@@ -414,51 +414,13 @@ Matrix MatMul(const Matrix& a, const Matrix& b) {
 Matrix MatMulTransposeA(const Matrix& a, const Matrix& b) {
   EDGE_CHECK_EQ(a.rows(), b.rows());
   Matrix out(a.cols(), b.cols());
-  const size_t k_total = a.rows();
-  const size_t n = b.cols();
-  // Chunks own disjoint bands of output rows (columns of a). k stays the
-  // streaming dimension of both operands; the 4-way k group reuses each
-  // b panel for every i in the band while preserving the ascending-k
-  // single-add order per out(i, j).
-  ParallelFor(
-      0, a.cols(), RowGrain(a.cols(), 2 * a.rows() * b.cols()),
-      [&](size_t col_begin, size_t col_end) {
-        for (size_t kk = 0; kk < k_total; kk += kKTile) {
-          const size_t k_hi = std::min(k_total, kk + kKTile);
-          size_t k = kk;
-          for (; k + 4 <= k_hi; k += 4) {
-            const double* EDGE_RESTRICT a0 = a.row_data(k);
-            const double* EDGE_RESTRICT a1 = a.row_data(k + 1);
-            const double* EDGE_RESTRICT a2 = a.row_data(k + 2);
-            const double* EDGE_RESTRICT a3 = a.row_data(k + 3);
-            const double* EDGE_RESTRICT b0 = b.row_data(k);
-            const double* EDGE_RESTRICT b1 = b.row_data(k + 1);
-            const double* EDGE_RESTRICT b2 = b.row_data(k + 2);
-            const double* EDGE_RESTRICT b3 = b.row_data(k + 3);
-            for (size_t i = col_begin; i < col_end; ++i) {
-              const double w0 = a0[i], w1 = a1[i], w2 = a2[i], w3 = a3[i];
-              double* EDGE_RESTRICT orow = out.row_data(i);
-              for (size_t j = 0; j < n; ++j) {
-                double r = orow[j];
-                r += w0 * b0[j];
-                r += w1 * b1[j];
-                r += w2 * b2[j];
-                r += w3 * b3[j];
-                orow[j] = r;
-              }
-            }
-          }
-          for (; k < k_hi; ++k) {
-            const double* EDGE_RESTRICT arow = a.row_data(k);
-            const double* EDGE_RESTRICT brow = b.row_data(k);
-            for (size_t i = col_begin; i < col_end; ++i) {
-              const double w = arow[i];
-              double* EDGE_RESTRICT orow = out.row_data(i);
-              for (size_t j = 0; j < n; ++j) orow[j] += w * brow[j];
-            }
-          }
-        }
-      });
+  // out(i, j) = sum_k a(k, i) * b(k, j). Transposing a once (data movement
+  // only, recycled buffer) lets the shared driver hold each out row band in
+  // registers across a whole k band, where an in-place k-outermost loop
+  // reloads and stores the full output every 4 k. The products and their
+  // ascending-k order per out(i, j) are unchanged.
+  Matrix t = a.Transposed();
+  BlockedMatMulInto(t, b, &out);
   return out;
 }
 

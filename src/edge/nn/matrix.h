@@ -19,7 +19,7 @@ namespace edge::nn {
 
 /// Borrowed, non-owning view of one matrix row: `cols` contiguous doubles.
 /// The backing matrix must outlive the span. This is the zero-copy currency
-/// of the row-oriented paths (GatherRows, ConcatRows, batched prediction):
+/// of the row-oriented paths (AttentionPool, ConcatRows, batched prediction):
 /// callers read through the span instead of materializing a 1 x C Matrix.
 ///
 /// Mapped-memory lifetime rule: a span need not point into a Matrix at all —
@@ -162,10 +162,10 @@ class Matrix {
 /// tests/parallel_parity_test.cc against a reference kernel).
 Matrix MatMul(const Matrix& a, const Matrix& b);
 
-/// Returns a^T * b without materializing the transpose.
+/// Returns a^T * b, bitwise equal to the naive ascending-k loop.
 Matrix MatMulTransposeA(const Matrix& a, const Matrix& b);
 
-/// Returns a * b^T without materializing the transpose.
+/// Returns a * b^T, bitwise equal to the naive ascending-k loop.
 Matrix MatMulTransposeB(const Matrix& a, const Matrix& b);
 
 /// True when shapes match and all elements are within `tol`.

@@ -398,11 +398,16 @@ Status GeoService::ReloadFromFile(const std::string& path) {
   // mmap + validate (per options_.model_store_verify) and swap — under kFast
   // no step here scales with entity count. Validation runs before any served
   // state changes, so a rejected store leaves the old model serving.
+  // Only kInternal (a failed read or stat) can clear on a retry. A corrupt
+  // (kInvalidArgument) or missing (kNotFound) store fails the same way every
+  // time, so it ends the retries at once and is returned as it is.
   Result<std::shared_ptr<const core::MmapModelStore>> store = Status::Internal("");
-  Status status = RetryWithBackoff(/*attempts=*/4, /*base_backoff_ms=*/1.0, [&]() {
+  RetryWithBackoff(/*attempts=*/4, /*base_backoff_ms=*/1.0, [&]() {
     store = core::MmapModelStore::Open(path, options_.model_store_verify);
-    return store.ok() ? Status::Ok() : store.status();
+    bool transient = !store.ok() && store.status().code() == Status::Code::kInternal;
+    return transient ? store.status() : Status::Ok();
   });
+  Status status = store.ok() ? Status::Ok() : store.status();
   if (status.ok()) {
     auto loaded = core::EdgeModel::LoadFromStore(std::move(store).value());
     if (loaded.ok()) return Reload(std::move(loaded).value());

@@ -214,8 +214,9 @@ class GeoService {
   Status Reload(std::unique_ptr<core::EdgeModel> model);
 
   /// Hot reload from an edge-model.v1 file: Open (verified per
-  /// options.model_store_verify, retrying transient read faults at fault
-  /// point io.checkpoint.read) + LoadFromStore + Reload. Under kFast that is
+  /// options.model_store_verify, retrying only kInternal read faults such as
+  /// fault point io.checkpoint.read; a corrupt or missing store fails at
+  /// once) + LoadFromStore + Reload. Under kFast that is
   /// an O(1) map-and-swap regardless of entity count. On any failure the old
   /// model keeps serving and the error comes back as a Status.
   Status ReloadFromFile(const std::string& path);

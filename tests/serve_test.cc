@@ -510,10 +510,30 @@ TEST_F(GeoServiceTest, ReloadFromFileRetriesTransientReadFaults) {
   EXPECT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(service->model_generation(), 2u);
 
-  // A missing file exhausts the retry budget and leaves the model alone.
+  // A missing file is not transient: it fails at once with kNotFound and
+  // leaves the model alone.
   Status missing = service->ReloadFromFile(path + ".does-not-exist");
-  EXPECT_FALSE(missing.ok());
+  EXPECT_EQ(missing.code(), Status::Code::kNotFound) << missing.ToString();
   EXPECT_EQ(service->model_generation(), 2u);
+}
+
+TEST_F(GeoServiceTest, ReloadFromFileFailsFastOnCorruptStore) {
+  fault::Disarm();
+  std::string corrupt = *checkpoint2_;
+  corrupt[corrupt.size() / 2] = static_cast<char>(corrupt[corrupt.size() / 2] ^ 0x20);
+  std::string path = WriteTemp(corrupt, "serve_reload_corrupt_fast.edge");
+  GeoServiceOptions options;
+  options.max_delay_ms = 0.5;
+  std::unique_ptr<GeoService> service = MakeService(options);
+  // The first read succeeds and finds the store corrupt; every later read
+  // would fail with an injected kInternal. Only a reload that retries the
+  // corrupt store reaches those.
+  ASSERT_TRUE(fault::Configure("io.checkpoint.read=error,after=1"));
+  Status status = service->ReloadFromFile(path);
+  fault::Disarm();
+  EXPECT_EQ(status.code(), Status::Code::kInvalidArgument) << status.ToString();
+  EXPECT_EQ(service->model_generation(), 1u);
+  std::filesystem::remove(path);
 }
 
 // A reload takes effect exactly between the requests submitted before and

@@ -96,9 +96,9 @@ TEST_F(TapeArenaTest, ObsCountersMirrorReuse) {
   EXPECT_EQ(reused->value(), before + 1);
 }
 
-/// One EDGE-shaped training step: GCN forward over a CSR graph, gather +
-/// concat pooling, MDN loss, backward, clip, Adam. Shapes repeat exactly
-/// across calls, which is what the arena exploits.
+/// One EDGE-shaped training step: GCN forward over a CSR graph, attention
+/// (or, without q/b, sum) pooling, MDN loss, backward, clip, Adam. Shapes
+/// repeat exactly across calls, which is what the arena exploits.
 struct TrainFixture {
   graph::EntityGraph graph;
   CsrMatrix adjacency;
@@ -109,6 +109,8 @@ struct TrainFixture {
   MdnOptions mdn_options;
   Var head_w;
   Var head_b;
+  Var attn_q;  ///< Null (with attn_b) for sum pooling.
+  Var attn_b;
   Adam adam;
 
   static graph::EntityGraph BuildGraph(Rng* rng) {
@@ -122,7 +124,7 @@ struct TrainFixture {
     return graph::EntityGraph::Build(entity_sets);
   }
 
-  static TrainFixture Make(Rng* rng) {
+  static TrainFixture Make(Rng* rng, bool attention = true) {
     graph::EntityGraph g = BuildGraph(rng);
     CsrMatrix s = g.NormalizedAdjacency();
     Matrix features = GaussianInit(g.num_nodes(), 16, 0.1, rng);
@@ -138,34 +140,35 @@ struct TrainFixture {
     mdn_options.num_components = 2;
     Var head_w = Param(GaussianInit(16, 6 * mdn_options.num_components, 0.1, rng));
     Var head_b = Param(Matrix(1, 6 * mdn_options.num_components));
-    std::vector<Var> params = stack.Params();
-    params.push_back(head_w);
-    params.push_back(head_b);
-    Adam adam(params, {});
+    Var attn_q = attention ? Param(GaussianInit(16, 1, 0.1, rng)) : nullptr;
+    Var attn_b = attention ? Param(Matrix(1, 1)) : nullptr;
+    Adam adam(Params(stack, head_w, head_b, attn_q, attn_b), {});
     return TrainFixture{std::move(g),       std::move(s),       std::move(features),
                         std::move(stack),   std::move(tweet_ids), std::move(targets),
                         mdn_options,        std::move(head_w),  std::move(head_b),
-                        std::move(adam)};
+                        std::move(attn_q),  std::move(attn_b),  std::move(adam)};
+  }
+
+  static std::vector<Var> Params(const graph::GcnStack& stack, const Var& head_w,
+                                 const Var& head_b, const Var& attn_q, const Var& attn_b) {
+    std::vector<Var> params = stack.Params();
+    if (attn_q != nullptr) {
+      params.push_back(attn_q);
+      params.push_back(attn_b);
+    }
+    params.push_back(head_w);
+    params.push_back(head_b);
+    return params;
   }
 
   double Step() {
     Var x = Constant(features);
     Var h = stack.Forward(&adjacency, x);
-    std::vector<Var> pooled;
-    pooled.reserve(tweet_ids.size());
-    for (const std::vector<size_t>& ids : tweet_ids) {
-      Var hk = GatherRows(h, ids);
-      Var ones = Constant(Matrix::Constant(1, ids.size(), 1.0 / ids.size()));
-      pooled.push_back(MatMul(ones, hk));
-    }
-    Var z = ConcatRows(pooled);
+    Var z = AttentionPool(h, {tweet_ids.begin(), tweet_ids.end()}, attn_q, attn_b);
     Var theta = AddRowBroadcast(MatMul(z, head_w), head_b);
     Var loss = BivariateMdnLoss(theta, targets, mdn_options);
     Backward(loss);
-    std::vector<Var> params = stack.Params();
-    params.push_back(head_w);
-    params.push_back(head_b);
-    ClipGradientNorm(params, 5.0);
+    ClipGradientNorm(Params(stack, head_w, head_b, attn_q, attn_b), 5.0);
     adam.Step();
     return loss->value.At(0, 0);
   }
@@ -173,18 +176,24 @@ struct TrainFixture {
 
 TEST_F(TapeArenaTest, SteadyStateStepsAllocateNothing) {
   ScopedNumThreads serial(1);
-  Rng rng(11);
-  TrainFixture fixture = TrainFixture::Make(&rng);
-  for (int i = 0; i < 3; ++i) fixture.Step();  // Warm the free lists.
-  ResetLocalTapeArenaStatsForTest();
-  for (int i = 0; i < 5; ++i) fixture.Step();
-  TapeArenaStats stats = LocalTapeArenaStats();
-  EXPECT_EQ(stats.buffer_misses, 0)
-      << "steady-state steps must serve every matrix buffer from the arena";
-  EXPECT_EQ(stats.node_misses, 0)
-      << "steady-state steps must serve every tape node from the arena";
-  EXPECT_GT(stats.buffer_hits, 0);
-  EXPECT_GT(stats.node_hits, 0);
+  // Attention and sum pooling: the pooling node's forward and backward
+  // scratch are arena-backed Matrix buffers, so neither mode misses.
+  for (bool attention : {true, false}) {
+    Rng rng(11);
+    TrainFixture fixture = TrainFixture::Make(&rng, attention);
+    for (int i = 0; i < 3; ++i) fixture.Step();  // Warm the free lists.
+    ResetLocalTapeArenaStatsForTest();
+    for (int i = 0; i < 5; ++i) fixture.Step();
+    TapeArenaStats stats = LocalTapeArenaStats();
+    EXPECT_EQ(stats.buffer_misses, 0)
+        << "steady-state steps must serve every matrix buffer from the arena"
+        << " (attention " << attention << ")";
+    EXPECT_EQ(stats.node_misses, 0)
+        << "steady-state steps must serve every tape node from the arena"
+        << " (attention " << attention << ")";
+    EXPECT_GT(stats.buffer_hits, 0);
+    EXPECT_GT(stats.node_hits, 0);
+  }
 }
 
 TEST_F(TapeArenaTest, RecyclingIsBitwiseInvisibleToTraining) {
